@@ -9,9 +9,27 @@ use crate::metrics::{interpolate_quantile, HistogramCore, HISTOGRAM_BUCKETS};
 use crate::registry::{registry, RECENT_SPAN_CAP};
 use crate::span::SpanRecord;
 
-/// One histogram in a [`Snapshot`]:
-/// `(rendered key, count, sum, non-empty (lower_bound, count) buckets)`.
-pub type HistogramEntry = (String, u64, u64, Vec<(u64, u64)>);
+/// One histogram in a [`Snapshot`].
+pub struct HistogramEntry {
+    /// Rendered key (name plus labels).
+    pub key: String,
+    /// Number of samples.
+    pub count: u64,
+    /// Sum of the samples.
+    pub sum: u64,
+    /// Largest sample (0 when empty); quantiles are clamped to it.
+    pub max: u64,
+    /// Non-empty `(lower_bound, count)` buckets.
+    pub buckets: Vec<(u64, u64)>,
+}
+
+impl HistogramEntry {
+    /// The entry's interpolated `q` quantile (see
+    /// [`interpolate_quantile`]).
+    pub fn quantile(&self, q: f64) -> f64 {
+        interpolate_quantile(&self.buckets, self.count, self.max, q)
+    }
+}
 
 /// Point-in-time copy of the registry, ordered deterministically.
 pub struct Snapshot {
@@ -59,15 +77,16 @@ impl Snapshot {
                             (n > 0).then(|| (HistogramCore::bucket_lower_bound(i), n))
                         })
                         .collect();
-                    (
-                        k.render(),
-                        core.count.load(Ordering::Relaxed),
-                        core.sum.load(Ordering::Relaxed),
+                    HistogramEntry {
+                        key: k.render(),
+                        count: core.count.load(Ordering::Relaxed),
+                        sum: core.sum.load(Ordering::Relaxed),
+                        max: core.max.load(Ordering::Relaxed),
                         buckets,
-                    )
+                    }
                 })
                 .collect();
-            histograms.sort_by(|a, b| a.0.cmp(&b.0));
+            histograms.sort_by(|a, b| a.key.cmp(&b.key));
             (counter_map, gauges, histograms)
         };
 
@@ -117,8 +136,9 @@ impl Snapshot {
     /// {
     ///   "counters": {"votekg.sgp.iterations": 840},
     ///   "gauges": {"votekg.sim.ppr_residual": 1e-9},
-    ///   "histograms": {"name": {"count": 3, "sum": 10,
-    ///                            "buckets": [[2, 2], [4, 1]]}},
+    ///   "histograms": {"name": {"count": 3, "sum": 10, "max": 4,
+    ///                            "buckets": [[2, 2], [4, 1]],
+    ///                            "p50": 3.0, "p90": 4.0, ...}},
     ///   "spans": {"votekg.cluster.ap": {"count": 1, "total_ns": 12,
     ///              "mean_ns": 12, "max_ns": 12}},
     ///   "recent_spans": [{"name": "...", "path": "...", "depth": 0,
@@ -144,28 +164,24 @@ impl Snapshot {
             }
         });
         out.push_str("},\n  \"histograms\": {");
-        push_entries(
-            &mut out,
-            self.histograms.iter(),
-            |out, (k, count, sum, buckets)| {
-                out.push_str(&json_string(k));
-                out.push_str(&format!(
-                    ": {{\"count\": {count}, \"sum\": {sum}, \"buckets\": ["
-                ));
-                for (i, (lo, n)) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("[{lo}, {n}]"));
+        push_entries(&mut out, self.histograms.iter(), |out, h| {
+            out.push_str(&json_string(&h.key));
+            out.push_str(&format!(
+                ": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [",
+                h.count, h.sum, h.max
+            ));
+            for (i, (lo, n)) in h.buckets.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
                 }
-                out.push(']');
-                for (label, q) in QUANTILES {
-                    let v = interpolate_quantile(buckets, *count, *q);
-                    out.push_str(&format!(", \"{label}\": {v:?}"));
-                }
-                out.push('}');
-            },
-        );
+                out.push_str(&format!("[{lo}, {n}]"));
+            }
+            out.push(']');
+            for (label, q) in QUANTILES {
+                out.push_str(&format!(", \"{label}\": {:?}", h.quantile(*q)));
+            }
+            out.push('}');
+        });
         out.push_str("},\n  \"spans\": {");
         push_entries(
             &mut out,
@@ -232,7 +248,14 @@ impl Snapshot {
                 prom_f64(*value)
             ));
         }
-        for (key, count, sum, buckets) in &self.histograms {
+        for h in &self.histograms {
+            let HistogramEntry {
+                key,
+                count,
+                sum,
+                buckets,
+                ..
+            } = h;
             let (name, labels) = split_rendered_key(key);
             let name = prom_name(&name);
             type_header(&mut out, &name, "histogram");
@@ -277,7 +300,7 @@ impl Snapshot {
                     "{}{} {}\n",
                     quantile_family,
                     prom_labels(&q_labels),
-                    prom_f64(interpolate_quantile(buckets, *count, *q))
+                    prom_f64(h.quantile(*q))
                 ));
             }
         }

@@ -52,7 +52,7 @@ mod registry;
 mod span;
 mod trace;
 
-pub use export::{export_json, export_prometheus, Snapshot};
+pub use export::{export_json, export_prometheus, HistogramEntry, Snapshot};
 pub use log::{log_enabled, log_event, Level};
 pub use metrics::{interpolate_quantile, Counter, Gauge, Histogram};
 pub use recorder::{

@@ -102,11 +102,13 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// Log-scale histogram over `u64` samples. Bucket 0 counts exact zeros;
 /// bucket `i >= 1` counts samples in `[2^(i-1), 2^i)`, so a sample that
 /// is exactly a power of two `2^k` lands in bucket `k + 1` — the bucket
-/// boundaries are exact at powers of two.
+/// boundaries are exact at powers of two. The largest sample is tracked
+/// exactly, so quantiles never exceed it.
 pub struct HistogramCore {
     pub(crate) buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     pub(crate) count: AtomicU64,
     pub(crate) sum: AtomicU64,
+    pub(crate) max: AtomicU64,
 }
 
 impl HistogramCore {
@@ -115,6 +117,7 @@ impl HistogramCore {
             buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
@@ -147,6 +150,9 @@ impl HistogramCore {
     }
 
     fn record(&self, value: u64) {
+        // Max first: a reader that sees the sample's bucket count
+        // should not clamp its quantiles below the sample.
+        self.max.fetch_max(value, Ordering::Relaxed);
         self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -193,6 +199,11 @@ impl Histogram {
         self.0.as_ref().map_or(0, |c| c.sum.load(Ordering::Relaxed))
     }
 
+    /// The largest recorded sample (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.0.as_ref().map_or(0, |c| c.max.load(Ordering::Relaxed))
+    }
+
     /// Snapshot of non-empty buckets as `(lower_bound, count)` pairs.
     pub fn buckets(&self) -> Vec<(u64, u64)> {
         let Some(core) = &self.0 else {
@@ -209,16 +220,24 @@ impl Histogram {
     /// Within-bucket interpolated quantile (`q` in `[0, 1]`): locates
     /// the bucket holding the `q`-th ranked sample and interpolates
     /// linearly inside its `[2^(i-1), 2^i)` range, so p99 is no longer
-    /// rounded to a power of two. Returns 0.0 on an empty histogram.
+    /// rounded to a power of two, then clamps to the largest sample.
+    /// Returns 0.0 on an empty histogram.
     pub fn quantile(&self, q: f64) -> f64 {
-        interpolate_quantile(&self.buckets(), self.count(), q)
+        interpolate_quantile(&self.buckets(), self.count(), self.max(), q)
     }
 }
 
 /// Shared quantile interpolation over `(lower_bound, count)` bucket
 /// pairs (as produced by [`Histogram::buckets`] and carried in
-/// [`crate::Snapshot`] histogram entries).
-pub fn interpolate_quantile(buckets: &[(u64, u64)], count: u64, q: f64) -> f64 {
+/// [`crate::Snapshot`] histogram entries). The result is clamped to
+/// `max`, the largest recorded sample: interpolating toward the top of
+/// the last occupied bucket would otherwise report a quantile above
+/// every sample.
+pub fn interpolate_quantile(buckets: &[(u64, u64)], count: u64, max: u64, q: f64) -> f64 {
+    interpolate_in_buckets(buckets, count, q).min(max as f64)
+}
+
+fn interpolate_in_buckets(buckets: &[(u64, u64)], count: u64, q: f64) -> f64 {
     if count == 0 || buckets.is_empty() {
         return 0.0;
     }
@@ -315,6 +334,21 @@ mod tests {
         assert_eq!(h.quantile(0.0), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
         let p100 = h.quantile(1.0);
-        assert!((512.0..=1024.0).contains(&p100), "p100 = {p100}");
+        assert!((512.0..=1000.0).contains(&p100), "p100 = {p100}");
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_largest_sample() {
+        // One 1,000 ns sample sits in bucket [512, 1024): interpolating
+        // to the bucket top would report p99 = 1,024.
+        let h = Histogram::standalone();
+        h.record(1000);
+        assert_eq!(h.max(), 1000);
+        assert_eq!(h.quantile(0.99), 1000.0);
+        assert_eq!(h.quantile(1.0), 1000.0);
+        h.record(600);
+        assert_eq!(h.max(), 1000);
+        assert!(h.quantile(0.5) <= 1000.0);
+        assert_eq!(h.quantile(0.999), 1000.0);
     }
 }

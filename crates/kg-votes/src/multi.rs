@@ -163,6 +163,8 @@ pub fn solve_multi_votes(
             // gets whatever is left of the round's budget, so the whole
             // sequence — not each solve — honors `time_budget`.
             let deadline = opts.solve.time_budget.map(|b| solve_started + b);
+            // Encoded once per round: the stages differ only in the
+            // sigmoid steepness and the start point.
             let mut prog = {
                 let _phase = kg_telemetry::span!("votekg.votes.encode");
                 encode_multi(graph, &kept_owned, &opts.encode, &opts.params)
@@ -192,16 +194,11 @@ pub fn solve_multi_votes(
                 let mut timed_out = false;
                 let mut stage_failure: Option<String> = None;
                 for (si, &stage_w) in stages.iter().enumerate() {
-                    let mut params = opts.params;
-                    params.steepness = stage_w;
-                    // Re-encode with this stage's sigmoid; warm-start from
-                    // the previous stage's solution. The proximal anchors
-                    // must stay at the *original* weights, so only the
-                    // variable initials move.
-                    prog = {
-                        let _phase = kg_telemetry::span!("votekg.votes.encode");
-                        encode_multi(graph, &kept_owned, &opts.encode, &params)
-                    };
+                    // Retune the encoded program's sigmoid to this stage;
+                    // warm-start from the previous stage's solution. The
+                    // proximal anchors must stay at the *original*
+                    // weights, so only the variable initials move.
+                    prog.problem.objective.set_sigmoid_steepness(stage_w);
                     if let Some(x) = &best_x {
                         for (i, xi) in x.iter().enumerate() {
                             prog.problem.vars.set_initial(sgp::VarId(i as u32), *xi);

@@ -23,6 +23,7 @@
 //! build of this crate), but injects nothing unless a test installs a
 //! plan.
 
+use crate::compiled::CompiledProblem;
 use crate::problem::SgpProblem;
 use crate::solver::{InnerOptimizer, InnerParams, InnerResult, SolveError, SolveResult, Solver};
 use crate::var::VarSpace;
@@ -234,13 +235,7 @@ pub(crate) fn corrupt_result(
             // Recompute every derived field from the skewed point so the
             // result is internally consistent: nothing downstream can
             // detect the corruption without a second opinion.
-            result.objective = problem.objective.eval(&result.x);
-            let mut grad = vec![0.0; result.x.len()];
-            problem.objective.accumulate_grad(&result.x, &mut grad);
-            result.grad_norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-            result.max_violation = problem.max_violation(&result.x);
-            result.violated_constraints = problem.violated_count(&result.x, feas_tol);
-            result.feasible = result.max_violation <= feas_tol;
+            result.derive_from_x(problem, &mut CompiledProblem::new(problem), feas_tol);
         }
         _ => {}
     }

@@ -21,6 +21,9 @@
 //!   *not* a pure signomial: it mixes a quadratic proximal term `λ1‖x−x0‖²`
 //!   (Eq. 12) with sigmoid penalties `λ2 σ(w·g(x))` (Eq. 18). The composite
 //!   objective models exactly that family.
+//! * [`CompiledProblem`] — a problem flattened once per solve; every merit
+//!   evaluation goes through it, allocation-free and bit-identical to the
+//!   symbolic formula.
 //! * Solvers — a projected-Adam / projected-gradient inner optimizer over
 //!   the box, wrapped by either an exterior quadratic [`PenaltySolver`] or
 //!   an [`AugLagSolver`] (augmented Lagrangian) to enforce the inequality
@@ -45,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod compiled;
 pub mod fault;
 pub mod fd;
 pub mod monomial;
@@ -55,6 +59,7 @@ pub mod signomial;
 pub mod solver;
 pub mod var;
 
+pub use compiled::CompiledProblem;
 pub use fault::{FaultAction, FaultGuard, FaultPlan, FaultyInner, FaultySolver};
 pub use monomial::Monomial;
 pub use objective::{CompositeObjective, ObjectiveTerm};

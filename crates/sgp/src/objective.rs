@@ -1,8 +1,9 @@
 //! Composite objectives: the function family of Eq. 19,
 //! `λ1 Σ (x − x0)² + λ2 Σ σ(w·g_i(x))`, generalized as a sum of typed
-//! terms with exact gradients.
+//! terms. This is the symbolic form; solvers evaluate values and exact
+//! gradients through [`crate::CompiledProblem`].
 
-use crate::sigmoid::{sigmoid, sigmoid_grad};
+use crate::sigmoid::sigmoid;
 use crate::signomial::Signomial;
 use crate::var::VarId;
 use serde::{Deserialize, Serialize};
@@ -56,34 +57,6 @@ impl ObjectiveTerm {
             } => weight * sigmoid(inner.eval(x), *steepness),
         }
     }
-
-    /// Accumulates the term's gradient at `x` into `grad`.
-    pub fn accumulate_grad(&self, x: &[f64], grad: &mut [f64]) {
-        match self {
-            ObjectiveTerm::Signomial(s) => s.accumulate_grad(x, grad),
-            ObjectiveTerm::QuadraticProximal { weight, anchors } => {
-                for &(v, x0) in anchors {
-                    grad[v.index()] += 2.0 * weight * (x[v.index()] - x0);
-                }
-            }
-            ObjectiveTerm::SigmoidPenalty {
-                weight,
-                steepness,
-                inner,
-            } => {
-                let outer = weight * sigmoid_grad(inner.eval(x), *steepness);
-                if outer != 0.0 {
-                    // chain rule: scale the inner gradient by the sigmoid slope
-                    let n = grad.len();
-                    let mut inner_grad = vec![0.0; n];
-                    inner.accumulate_grad(x, &mut inner_grad);
-                    for (g, ig) in grad.iter_mut().zip(inner_grad) {
-                        *g += outer * ig;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// A sum of [`ObjectiveTerm`]s.
@@ -113,17 +86,13 @@ impl CompositeObjective {
         self.terms.iter().map(|t| t.eval(x)).sum()
     }
 
-    /// Gradient at `x` as a dense vector of length `n_vars`.
-    pub fn grad(&self, x: &[f64], n_vars: usize) -> Vec<f64> {
-        let mut g = vec![0.0; n_vars];
-        self.accumulate_grad(x, &mut g);
-        g
-    }
-
-    /// Accumulates the gradient at `x` into `grad`.
-    pub fn accumulate_grad(&self, x: &[f64], grad: &mut [f64]) {
-        for t in &self.terms {
-            t.accumulate_grad(x, grad);
+    /// Sets the steepness `w` of every [`ObjectiveTerm::SigmoidPenalty`]
+    /// (one stage of the multi-vote steepness continuation).
+    pub fn set_sigmoid_steepness(&mut self, w: f64) {
+        for t in &mut self.terms {
+            if let ObjectiveTerm::SigmoidPenalty { steepness, .. } = t {
+                *steepness = w;
+            }
         }
     }
 }
@@ -139,6 +108,23 @@ impl From<Signomial> for CompositeObjective {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompiledProblem;
+    use crate::problem::SgpProblem;
+    use crate::var::VarSpace;
+
+    /// Value and gradient of `obj` at `x` through the compiled evaluator.
+    fn value_and_grad(obj: &CompositeObjective, x: &[f64]) -> (f64, Vec<f64>) {
+        let p = SgpProblem::new(VarSpace::new(), obj.clone());
+        let mut g = vec![0.0; x.len()];
+        let v = CompiledProblem::new(&p).objective(x, &mut g);
+        (v, g)
+    }
+
+    fn single(term: ObjectiveTerm) -> CompositeObjective {
+        let mut obj = CompositeObjective::new();
+        obj.push(term);
+        obj
+    }
 
     #[test]
     fn proximal_term_is_zero_at_anchor() {
@@ -147,9 +133,7 @@ mod tests {
             anchors: vec![(VarId(0), 0.3), (VarId(1), 0.7)],
         };
         assert_eq!(t.eval(&[0.3, 0.7]), 0.0);
-        let mut g = vec![0.0; 2];
-        t.accumulate_grad(&[0.3, 0.7], &mut g);
-        assert_eq!(g, vec![0.0, 0.0]);
+        assert_eq!(value_and_grad(&single(t), &[0.3, 0.7]).1, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -160,8 +144,8 @@ mod tests {
         };
         // 2 * (3 - 1)^2 = 8 ; grad = 2*2*(3-1) = 8
         assert!((t.eval(&[3.0]) - 8.0).abs() < 1e-12);
-        let mut g = vec![0.0];
-        t.accumulate_grad(&[3.0], &mut g);
+        let (v, g) = value_and_grad(&single(t), &[3.0]);
+        assert!((v - 8.0).abs() < 1e-12);
         assert!((g[0] - 8.0).abs() < 1e-12);
     }
 
@@ -188,7 +172,7 @@ mod tests {
         });
         // 1 + x^2 at x = 2 -> 5
         assert!((obj.eval(&[2.0]) - 5.0).abs() < 1e-12);
-        let g = obj.grad(&[2.0], 1);
+        let (_, g) = value_and_grad(&obj, &[2.0]);
         assert!((g[0] - 4.0).abs() < 1e-12);
     }
 
@@ -206,7 +190,7 @@ mod tests {
             anchors: vec![(VarId(0), 0.4), (VarId(1), 0.6)],
         });
         let x = [0.45, 0.55];
-        let g = obj.grad(&x, 2);
+        let (_, g) = value_and_grad(&obj, &x);
         let h = 1e-6;
         for i in 0..2 {
             let mut xp = x;
@@ -216,6 +200,26 @@ mod tests {
             let fd = (obj.eval(&xp) - obj.eval(&xm)) / (2.0 * h);
             assert!((g[i] - fd).abs() < 1e-4, "var {i}: {} vs {fd}", g[i]);
         }
+    }
+
+    #[test]
+    fn set_sigmoid_steepness_retunes_only_sigmoid_terms() {
+        let mut obj = CompositeObjective::new();
+        obj.push(ObjectiveTerm::SigmoidPenalty {
+            weight: 1.0,
+            steepness: 300.0,
+            inner: Signomial::linear(VarId(0), 1.0),
+        });
+        obj.push(ObjectiveTerm::Signomial(Signomial::constant(1.0)));
+        obj.set_sigmoid_steepness(10.0);
+        assert!(matches!(
+            obj.terms()[0],
+            ObjectiveTerm::SigmoidPenalty { steepness, .. } if steepness == 10.0
+        ));
+        assert_eq!(
+            obj.terms()[1],
+            ObjectiveTerm::Signomial(Signomial::constant(1.0))
+        );
     }
 
     #[test]

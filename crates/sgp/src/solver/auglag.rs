@@ -12,6 +12,7 @@
 //! a *moderate* `μ` achieve feasibility, avoiding the ill-conditioning of
 //! very large penalty coefficients on badly scaled vote constraints.
 
+use crate::compiled::CompiledProblem;
 use crate::fault;
 use crate::problem::SgpProblem;
 use crate::solver::adam::AdamOptimizer;
@@ -55,6 +56,7 @@ impl<I: InnerOptimizer> Solver for AugLagSolver<I> {
         let start = Instant::now();
         let injected = fault::begin_solve(self.inner.name())?;
         let mut x = check_problem(problem)?;
+        let mut kernel = CompiledProblem::new(problem);
         let deadline = opts.time_budget.map(|b| start + b);
         let params = InnerParams::from_options(opts, deadline);
         let m = problem.n_constraints();
@@ -68,22 +70,7 @@ impl<I: InnerOptimizer> Solver for AugLagSolver<I> {
 
         for round in 0..opts.max_outer_iters.max(1) {
             outer = round + 1;
-            let lam = lambda.clone();
-            let mut merit = |x: &[f64], grad: &mut [f64]| -> f64 {
-                let mut v = problem.objective.eval(x);
-                problem.objective.accumulate_grad(x, grad);
-                for (c, &l) in problem.constraints.iter().zip(&lam) {
-                    let g = c.expr.eval(x);
-                    let t = l + mu * g;
-                    if t > 0.0 {
-                        v += (t * t - l * l) / (2.0 * mu);
-                        c.expr.accumulate_grad_scaled(x, t, grad);
-                    } else {
-                        v -= l * l / (2.0 * mu);
-                    }
-                }
-                v
-            };
+            let mut merit = |x: &[f64], grad: &mut [f64]| kernel.auglag_merit(x, &lambda, mu, grad);
             let r = self.inner.minimize(&mut merit, &problem.vars, &x, &params);
             inner_total += r.iterations;
             x = r.x;
@@ -121,6 +108,7 @@ impl<I: InnerOptimizer> Solver for AugLagSolver<I> {
 
         let mut result = finish(
             problem,
+            &mut kernel,
             format!("auglag+{}", self.inner.name()),
             x,
             inner_total,

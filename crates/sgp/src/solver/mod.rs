@@ -19,6 +19,7 @@ pub mod lbfgs;
 pub mod penalty;
 pub mod projgrad;
 
+use crate::compiled::CompiledProblem;
 use crate::problem::SgpProblem;
 use crate::var::VarSpace;
 use serde::{Deserialize, Serialize};
@@ -288,12 +289,32 @@ pub(crate) fn check_problem(problem: &SgpProblem) -> Result<Vec<f64>, SolveError
     Ok(x0)
 }
 
+impl SolveResult {
+    /// Recomputes the fields derived from `x` (objective, gradient norm,
+    /// violations, feasibility), the gradient through `kernel`.
+    pub(crate) fn derive_from_x(
+        &mut self,
+        problem: &SgpProblem,
+        kernel: &mut CompiledProblem,
+        feas_tol: f64,
+    ) {
+        let mut grad = vec![0.0; self.x.len()];
+        self.objective = kernel.objective(&self.x, &mut grad);
+        self.grad_norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
+        self.max_violation = problem.max_violation(&self.x);
+        self.violated_constraints = problem.violated_count(&self.x, feas_tol);
+        self.feasible = self.max_violation <= feas_tol;
+    }
+}
+
 /// Builds the final [`SolveResult`] from a candidate point, and reports
 /// the solve to telemetry (`votekg.sgp.*`) when collection is enabled.
-/// `solver` is the `"<outer>+<inner>"` combination label.
+/// `solver` is the `"<outer>+<inner>"` combination label; `kernel` is
+/// the solve's compiled `problem`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish(
     problem: &SgpProblem,
+    kernel: &mut CompiledProblem,
     solver: String,
     x: Vec<f64>,
     inner_iterations: usize,
@@ -303,12 +324,28 @@ pub(crate) fn finish(
     trace: Vec<OuterRound>,
     reason: ConvergenceReason,
 ) -> SolveResult {
-    let objective = problem.objective.eval(&x);
-    let mut grad = vec![0.0; x.len()];
-    problem.objective.accumulate_grad(&x, &mut grad);
-    let grad_norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-    let max_violation = problem.max_violation(&x);
-    let violated = problem.violated_count(&x, feas_tol);
+    let mut result = SolveResult {
+        x,
+        objective: 0.0,
+        grad_norm: 0.0,
+        max_violation: 0.0,
+        violated_constraints: 0,
+        inner_iterations,
+        outer_iterations,
+        feasible: false,
+        reason,
+        elapsed,
+        solver,
+        trace,
+    };
+    result.derive_from_x(problem, kernel, feas_tol);
+    let SolveResult {
+        objective,
+        grad_norm,
+        max_violation,
+        violated_constraints: violated,
+        ..
+    } = result;
 
     if kg_telemetry::is_enabled() {
         kg_telemetry::counter("votekg.sgp.solves").incr();
@@ -330,21 +367,7 @@ pub(crate) fn finish(
          max_violation={max_violation:.3e} violated={violated} \
          inner={inner_iterations} outer={outer_iterations}"
     );
-
-    SolveResult {
-        feasible: max_violation <= feas_tol,
-        solver,
-        objective,
-        grad_norm,
-        max_violation,
-        violated_constraints: violated,
-        inner_iterations,
-        outer_iterations,
-        reason,
-        elapsed,
-        x,
-        trace,
-    }
+    result
 }
 
 #[cfg(test)]

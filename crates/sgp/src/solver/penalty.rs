@@ -5,6 +5,7 @@
 //! the workhorse for the single-vote solution, whose constraints (Eq. 11)
 //! must actually be *satisfied*, not merely discouraged.
 
+use crate::compiled::CompiledProblem;
 use crate::fault;
 use crate::problem::SgpProblem;
 use crate::solver::adam::AdamOptimizer;
@@ -47,6 +48,7 @@ impl<I: InnerOptimizer> Solver for PenaltySolver<I> {
         let start = Instant::now();
         let injected = fault::begin_solve(self.inner.name())?;
         let mut x = check_problem(problem)?;
+        let mut kernel = CompiledProblem::new(problem);
         let deadline = opts.time_budget.map(|b| start + b);
         let params = InnerParams::from_options(opts, deadline);
         let mut rho = opts.penalty_init;
@@ -57,18 +59,7 @@ impl<I: InnerOptimizer> Solver for PenaltySolver<I> {
 
         for round in 0..opts.max_outer_iters.max(1) {
             outer = round + 1;
-            let mut merit = |x: &[f64], grad: &mut [f64]| -> f64 {
-                let mut v = problem.objective.eval(x);
-                problem.objective.accumulate_grad(x, grad);
-                for c in &problem.constraints {
-                    let g = c.expr.eval(x);
-                    if g > 0.0 {
-                        v += rho * g * g;
-                        c.expr.accumulate_grad_scaled(x, 2.0 * rho * g, grad);
-                    }
-                }
-                v
-            };
+            let mut merit = |x: &[f64], grad: &mut [f64]| kernel.penalty_merit(x, rho, grad);
             let r = self.inner.minimize(&mut merit, &problem.vars, &x, &params);
             inner_total += r.iterations;
             x = r.x;
@@ -98,6 +89,7 @@ impl<I: InnerOptimizer> Solver for PenaltySolver<I> {
 
         let mut result = finish(
             problem,
+            &mut kernel,
             format!("penalty+{}", self.inner.name()),
             x,
             inner_total,
