@@ -4,38 +4,29 @@
 //!
 //! * **uncached**: a full [`kg_sim::rank_answers`] recompute for every
 //!   query, every round (what the pipeline did before `kg-serve`);
-//! * **cached**: one [`kg_serve::ScoreServer::rank_batch`] call, which
-//!   invalidates only the queries within `L − 1` hops of the round's
-//!   changed edges and recomputes just those.
+//! * **cached**: one [`kg_serve::SnapshotServer::rank_batch_at`] call
+//!   against the round's published snapshot, which evicts only the
+//!   queries within `L − 1` hops of the round's changed edges and
+//!   recomputes just those.
 //!
-//! Both arms run on the *same* graph states, and every cached ranking is
-//! asserted byte-identical to the uncached one, so the speedup is never
-//! bought with staleness. Results land in `BENCH_serve.json` (repo root
-//! when run through `scripts/bench_serve.sh`).
-//!
-//! A second phase sweeps *edge churn* (0.1%, 1%, 10% of edges perturbed
-//! per round) and re-ranks three ways — uncached, cached with the old
-//! evict-and-recompute sync, cached with `delta_phi` repair — writing
-//! the per-level costs and the repair/evict crossover into the
-//! `churn_sweep` section of the JSON. `--enforce-delta` turns the
-//! 1%-churn numbers into a hard gate: repairs must actually run, beat
-//! same-run full recompute, and be >= 3x faster than the seed's
-//! full-recompute cached path.
+//! Both arms run on the *same* published snapshot (publishing is the
+//! writer's cost, paid once per round, and is not timed), and every
+//! cached ranking is asserted identical to the uncached one, so the
+//! speedup is never bought with staleness. Results land in
+//! `BENCH_serve.json` (repo root when run through
+//! `scripts/bench_serve.sh`).
 //!
 //! Run: `cargo run -p kg-bench --release --bin serve
-//!       [--scale f] [--seed u] [--votes n] [--rounds n] [--workers n]
-//!       [--churn-rounds n] [--enforce-delta] [--out path]`
+//!       [--scale f] [--seed u] [--votes n] [--rounds n] [--workers n] [--out path]`
 
 use kg_bench::setups::{experiment_multi_opts, vote_scenario};
 use kg_bench::table::f2;
 use kg_bench::{Args, Table};
 use kg_datasets::TWITTER;
-use kg_graph::{EdgeId, KnowledgeGraph, NodeId};
-use kg_serve::{ScoreServer, ServeConfig};
-use kg_sim::{rank_answers, BatchQuery, DeltaConfig, SimilarityConfig};
+use kg_graph::NodeId;
+use kg_serve::{ServeConfig, SnapshotServer};
+use kg_sim::{rank_answers, BatchQuery, SimilarityConfig};
 use kg_votes::{solve_multi_votes, VoteSet};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -73,55 +64,6 @@ impl LatencySummary {
     }
 }
 
-/// One churn level of the delta-repair sweep: the same random edge
-/// perturbations re-ranked three ways (full recompute, cached with
-/// repair disabled, cached with delta repair), all asserted
-/// byte-identical.
-#[derive(Debug, Serialize)]
-struct ChurnRow {
-    /// Fraction of all edges perturbed per round.
-    churn: f64,
-    edges_per_round: usize,
-    rounds: usize,
-    /// Mean per-round re-rank cost of each arm.
-    uncached_ms: f64,
-    evict_ms: f64,
-    repair_ms: f64,
-    /// `evict_ms / repair_ms` — how much repairing entries in place beats
-    /// evicting and recomputing them.
-    repair_speedup: f64,
-    /// Entries patched through `delta_phi` across the sweep.
-    repaired: u64,
-    /// Entries the repair declined (fallback) and recomputed instead.
-    fallback_evicted: u64,
-}
-
-/// The seed benchmark's full-recompute cached path: `cached_ms` from the
-/// committed `BENCH_serve.json` before the delta-repair path existed
-/// (ROADMAP's "cached 2.3 ms/round" figure). The sweep gates the
-/// repair path's 1%-churn cost against it.
-const SEED_CACHED_MS: f64 = 2.3366;
-
-/// The delta-repair churn sweep: where incremental repair stops paying
-/// off as more of the graph changes per round. `crossover_churn` is the
-/// largest measured churn level at which repair still beats eviction —
-/// the data behind `DeltaConfig::bulk_churn_ceiling`'s default. The
-/// sweep itself runs with that ceiling lifted, so the numbers measure
-/// repair economics rather than the guard derived from them.
-#[derive(Debug, Serialize)]
-struct ChurnSweep {
-    rows: Vec<ChurnRow>,
-    crossover_churn: Option<f64>,
-    /// The frozen pre-delta cached baseline ([`SEED_CACHED_MS`]).
-    seed_cached_ms: f64,
-    /// Mean per-round cost of the repair arm at the 1% churn level.
-    repair_1pct_ms: f64,
-    /// [`SEED_CACHED_MS`] / `repair_1pct_ms` — the acceptance headline.
-    repair_1pct_vs_seed_cached: f64,
-    /// Same-run full recompute / `repair_1pct_ms`.
-    repair_1pct_vs_uncached: f64,
-}
-
 /// The emitted `BENCH_serve.json` document.
 #[derive(Debug, Serialize)]
 struct ServeBench {
@@ -142,156 +84,6 @@ struct ServeBench {
     cached_latency: LatencySummary,
     stats: kg_serve::ServeStats,
     per_round: Vec<RoundRow>,
-    churn_sweep: ChurnSweep,
-}
-
-/// Runs the churn sweep on the post-optimization graph: for each churn
-/// level, perturb that fraction of edges per round and re-rank the full
-/// query universe uncached, cached-with-eviction, and
-/// cached-with-repair. Every arm is asserted byte-identical, so the
-/// repair speedup is never bought with staleness.
-#[allow(clippy::too_many_arguments)]
-fn churn_sweep(
-    graph: &KnowledgeGraph,
-    questions: &[(NodeId, Vec<NodeId>)],
-    requests: &[BatchQuery<'_>],
-    sim: SimilarityConfig,
-    delta: DeltaConfig,
-    workers: usize,
-    k: usize,
-    rounds: usize,
-    seed: u64,
-) -> ChurnSweep {
-    let mut t = Table::new(&[
-        "churn",
-        "edges/round",
-        "uncached ms",
-        "evict ms",
-        "repair ms",
-        "speedup",
-        "repaired",
-        "fallback",
-    ]);
-    let mut rows = Vec::new();
-    for &churn in &[0.001, 0.01, 0.1] {
-        let edges_per_round = ((graph.edge_count() as f64 * churn).ceil() as usize).max(1);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (churn * 1e6) as u64);
-        let mut sweep_graph = graph.clone();
-        let mut repair_server = ScoreServer::new(ServeConfig {
-            sim,
-            workers,
-            // Lift the bulk-churn ceiling: this sweep produces the data
-            // the ceiling's default is derived from, so it must measure
-            // repair even past the crossover.
-            delta: if delta.enabled {
-                delta.with_bulk_churn_ceiling(1.0)
-            } else {
-                delta
-            },
-            ..Default::default()
-        });
-        let mut evict_server = ScoreServer::new(ServeConfig {
-            sim,
-            workers,
-            delta: DeltaConfig::disabled(),
-            ..Default::default()
-        });
-        repair_server.rank_batch(&sweep_graph, requests);
-        evict_server.rank_batch(&sweep_graph, requests);
-        let mut uncached_total = Duration::ZERO;
-        let mut evict_total = Duration::ZERO;
-        let mut repair_total = Duration::ZERO;
-        for round in 0..rounds {
-            for _ in 0..edges_per_round {
-                let e = EdgeId(rng.gen_range(0..sweep_graph.edge_count() as u32));
-                let w = sweep_graph.weight(e);
-                let next = (w * rng.gen_range(0.6f64..1.4)).clamp(1e-6, 8.0);
-                sweep_graph.set_weight(e, next).unwrap();
-            }
-            let started = Instant::now();
-            let uncached: Vec<_> = questions
-                .iter()
-                .map(|(q, answers)| rank_answers(&sweep_graph, *q, answers, &sim, k))
-                .collect();
-            uncached_total += started.elapsed();
-
-            let started = Instant::now();
-            let repaired = repair_server.rank_batch(&sweep_graph, requests);
-            repair_total += started.elapsed();
-
-            let started = Instant::now();
-            let evicted = evict_server.rank_batch(&sweep_graph, requests);
-            evict_total += started.elapsed();
-
-            assert_eq!(
-                repaired, uncached,
-                "repair arm diverged (churn {churn}, round {round})"
-            );
-            assert_eq!(
-                evicted, uncached,
-                "evict arm diverged (churn {churn}, round {round})"
-            );
-        }
-        let stats = repair_server.stats();
-        let evict_ms = ms(evict_total) / rounds as f64;
-        let repair_ms = ms(repair_total) / rounds as f64;
-        let row = ChurnRow {
-            churn,
-            edges_per_round,
-            rounds,
-            uncached_ms: ms(uncached_total) / rounds as f64,
-            evict_ms,
-            repair_ms,
-            repair_speedup: if repair_ms > 0.0 {
-                evict_ms / repair_ms
-            } else {
-                f64::INFINITY
-            },
-            repaired: stats.repaired,
-            fallback_evicted: stats.invalidated,
-        };
-        t.row(&[
-            format!("{churn}"),
-            format!("{edges_per_round}"),
-            f2(row.uncached_ms),
-            f2(row.evict_ms),
-            f2(row.repair_ms),
-            format!("{:.2}x", row.repair_speedup),
-            format!("{}", row.repaired),
-            format!("{}", row.fallback_evicted),
-        ]);
-        rows.push(row);
-    }
-    t.print();
-    let crossover_churn = rows
-        .iter()
-        .filter(|r| r.repaired > 0 && r.repair_speedup > 1.0)
-        .map(|r| r.churn)
-        .fold(None, |acc: Option<f64>, c| {
-            Some(acc.map_or(c, |a| a.max(c)))
-        });
-    let one_pct = rows
-        .iter()
-        .find(|r| r.churn == 0.01)
-        .expect("sweep includes the 1% churn level");
-    let repair_1pct_ms = one_pct.repair_ms;
-    let repair_1pct_vs_uncached = if repair_1pct_ms > 0.0 {
-        one_pct.uncached_ms / repair_1pct_ms
-    } else {
-        f64::INFINITY
-    };
-    ChurnSweep {
-        rows,
-        crossover_churn,
-        seed_cached_ms: SEED_CACHED_MS,
-        repair_1pct_ms,
-        repair_1pct_vs_seed_cached: if repair_1pct_ms > 0.0 {
-            SEED_CACHED_MS / repair_1pct_ms
-        } else {
-            f64::INFINITY
-        },
-        repair_1pct_vs_uncached,
-    }
 }
 
 fn flag(args: &Args, name: &str) -> Option<String> {
@@ -308,25 +100,6 @@ fn num_flag(args: &Args, name: &str, default: usize) -> usize {
                 .unwrap_or_else(|_| panic!("{name} wants a number"))
         })
         .unwrap_or(default)
-}
-
-/// `--max-churn f` overrides the repair budget of every delta-enabled
-/// server in the run (negative disables delta repair entirely) —
-/// the knob behind the sweep that data-derives `DeltaConfig::max_churn`.
-fn delta_flag(args: &Args) -> DeltaConfig {
-    match flag(args, "--max-churn") {
-        None => DeltaConfig::default(),
-        Some(v) => {
-            let f: f64 = v
-                .parse()
-                .unwrap_or_else(|_| panic!("--max-churn wants a number"));
-            if f < 0.0 {
-                DeltaConfig::disabled()
-            } else {
-                DeltaConfig::default().with_max_churn(f)
-            }
-        }
-    }
 }
 
 fn ms(d: Duration) -> f64 {
@@ -376,18 +149,18 @@ fn main() {
         batch
     );
 
-    let mut server = ScoreServer::new(ServeConfig {
+    let server = SnapshotServer::new(ServeConfig {
         sim,
         workers,
-        delta: delta_flag(&args),
         ..Default::default()
     });
 
     // Warm both arms once on the pristine graph (the cached arm fills its
     // cache; the uncached arm has no state to warm, its pass is just the
     // baseline cost of a cold full recompute).
+    let snap = graph.publish();
     let started = Instant::now();
-    server.rank_batch(&graph, &requests);
+    server.rank_batch_at(&snap, &requests);
     let warmup = started.elapsed();
 
     let budget = Duration::from_secs(60);
@@ -408,25 +181,25 @@ fn main() {
     ]);
     for (round, chunk) in scenario.votes.votes.chunks(batch).enumerate() {
         let version_before = graph.version();
-        let report = solve_multi_votes(&mut graph, &VoteSet::from_votes(chunk.to_vec()), &opts);
+        solve_multi_votes(&mut graph, &VoteSet::from_votes(chunk.to_vec()), &opts);
         let edges_changed = graph.changes_since(version_before).len();
+        let snap = graph.publish();
 
         let started = Instant::now();
         let uncached: Vec<_> = questions
             .iter()
-            .map(|(q, answers)| rank_answers(&graph, *q, answers, &sim, k))
+            .map(|(q, answers)| rank_answers(&snap, *q, answers, &sim, k))
             .collect();
         let uncached_time = started.elapsed();
 
         let stats_before = server.stats();
         let started = Instant::now();
-        let cached = server.rank_batch(&graph, &requests);
+        let cached = server.rank_batch_at(&snap, &requests);
         let cached_time = started.elapsed();
         let stats_after = server.stats();
 
         // Coherence gate: a stale ranking disqualifies the measurement.
         assert_eq!(cached, uncached, "cache diverged on round {round}");
-        let _ = report;
 
         uncached_total += uncached_time;
         cached_total += cached_time;
@@ -479,69 +252,6 @@ fn main() {
         f2(cached_latency.p99_ms),
     );
 
-    println!(
-        "\nchurn sweep — {} rounds per level, repair vs evict vs uncached:\n",
-        num_flag(&args, "--churn-rounds", 8)
-    );
-    let sweep = churn_sweep(
-        &graph,
-        &questions,
-        &requests,
-        sim,
-        delta_flag(&args),
-        workers,
-        k,
-        num_flag(&args, "--churn-rounds", 8).max(1),
-        args.seed,
-    );
-    match sweep.crossover_churn {
-        Some(c) => println!("\nrepair beats eviction up to {c} edge churn per round"),
-        None => println!("\nrepair never beat eviction on this workload"),
-    }
-    println!(
-        "repair at 1% churn: {} ms/round — {:.1}x vs the seed's {} ms \
-         full-recompute cached path, {:.1}x vs same-run full recompute",
-        f2(sweep.repair_1pct_ms),
-        sweep.repair_1pct_vs_seed_cached,
-        f2(sweep.seed_cached_ms),
-        sweep.repair_1pct_vs_uncached,
-    );
-    if args.rest.iter().any(|a| a == "--enforce-delta") {
-        let one_pct = sweep
-            .rows
-            .iter()
-            .find(|r| r.churn == 0.01)
-            .expect("sweep includes the 1% churn level");
-        // Byte equality of all three arms is asserted inside the sweep
-        // itself; this gate holds the *performance* claims.
-        assert!(
-            one_pct.repaired > 0,
-            "--enforce-delta: no entries were repaired at 1% churn"
-        );
-        assert!(
-            sweep.repair_1pct_vs_seed_cached >= 3.0,
-            "--enforce-delta: repair at 1% churn must be >= 3x faster than \
-             the seed's {} ms full-recompute cached path, measured {:.2}x \
-             ({} ms per round)",
-            f2(sweep.seed_cached_ms),
-            sweep.repair_1pct_vs_seed_cached,
-            f2(sweep.repair_1pct_ms),
-        );
-        assert!(
-            sweep.repair_1pct_vs_uncached > 1.0,
-            "--enforce-delta: repair at 1% churn must beat same-run full \
-             recompute, measured {:.2}x ({} ms vs {} ms per round)",
-            sweep.repair_1pct_vs_uncached,
-            f2(sweep.repair_1pct_ms),
-            f2(one_pct.uncached_ms),
-        );
-        println!(
-            "--enforce-delta OK: {:.2}x vs seed cached path, {:.2}x vs full \
-             recompute at 1% churn",
-            sweep.repair_1pct_vs_seed_cached, sweep.repair_1pct_vs_uncached,
-        );
-    }
-
     let bench = ServeBench {
         dataset: scenario.name.clone(),
         scale: args.scale,
@@ -560,7 +270,6 @@ fn main() {
         cached_latency,
         stats: server.stats(),
         per_round,
-        churn_sweep: sweep,
     };
     let json = serde_json::to_string_pretty(&bench).expect("bench report serializes");
     std::fs::write(&out_path, format!("{json}\n")).expect("write bench json");

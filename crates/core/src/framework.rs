@@ -241,22 +241,6 @@ impl Framework {
         self
     }
 
-    /// Configures delta repair of the serving cache: after each
-    /// optimization round, cached rankings the changed edges can reach
-    /// are patched in place through [`kg_sim::delta_phi`] (bitwise
-    /// identical to recomputing) instead of being evicted. Results are
-    /// identical with repair on or off — only the re-ranking cost
-    /// changes. Rebuilds the cache, so call it before handing out
-    /// [`Self::handle`]s.
-    pub fn with_delta_config(mut self, delta: kg_sim::DeltaConfig) -> Self {
-        let cfg = ServeConfig {
-            delta,
-            ..*self.server.config()
-        };
-        self.server = Arc::new(SnapshotServer::new(cfg));
-        self
-    }
-
     /// Publishes the graph's current state if it is newer than the last
     /// published snapshot, and returns the up-to-date snapshot. Reads go
     /// through this, so single-threaded callers always observe their own
@@ -736,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_is_cached_and_repaired_across_optimization() {
+    fn rank_is_cached_and_evicted_across_optimization() {
         let (g, q, a1, a2) = scene();
         let mut fw = Framework::new(g, FrameworkConfig::default());
         let first = fw.rank(q, &[a1, a2], 2);
@@ -747,8 +731,8 @@ mod tests {
         fw.record_vote(Vote::new(q, vec![a1, a2], a2));
         fw.optimize(Strategy::MultiVote);
         // The optimization changed weights on q's walks: the cached entry
-        // is repaired in place through delta_phi, so serving it is a hit
-        // that still matches an uncached evaluation bitwise.
+        // is evicted, and the next read recomputes it against the new
+        // weights, bitwise equal to an uncached evaluation.
         let after = fw.rank(q, &[a1, a2], 2);
         assert_eq!(
             after,
@@ -756,26 +740,12 @@ mod tests {
         );
         assert_eq!(after[0].node, a2);
         let stats = fw.serve_stats();
-        assert_eq!(stats.misses, 1, "the repaired entry keeps serving");
-        assert!(stats.repaired >= 1);
-    }
-
-    #[test]
-    fn disabling_delta_repair_falls_back_to_eviction() {
-        let (g, q, a1, a2) = scene();
-        let mut fw = Framework::new(g, FrameworkConfig::default())
-            .with_delta_config(kg_sim::DeltaConfig::disabled());
-        fw.rank(q, &[a1, a2], 2);
-        fw.record_vote(Vote::new(q, vec![a1, a2], a2));
-        fw.optimize(Strategy::MultiVote);
-        let after = fw.rank(q, &[a1, a2], 2);
-        assert_eq!(
-            after,
-            kg_sim::rank_answers(fw.graph(), q, &[a1, a2], &fw.config().sim(), 2)
-        );
-        let stats = fw.serve_stats();
+        assert_eq!(stats.invalidated, 1, "q's entry is evicted");
+        assert_eq!(stats.misses, 2, "the evicted entry recomputes");
         assert_eq!(stats.repaired, 0);
-        assert!(stats.misses >= 2, "the evicted entry recomputes");
+        // The recomputed entry serves the next read from cache.
+        assert_eq!(fw.rank(q, &[a1, a2], 2), after);
+        assert_eq!(fw.serve_stats().hits, 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | [`votes`] | vote model, SGP encoding, single-/multi-vote solutions |
 //! | [`cluster`] | affinity propagation + split-and-merge scaling |
 //! | [`qa`] | corpus → knowledge graph question answering, IR baseline |
-//! | [`serve`] | versioned ranking cache with delta repair + invalidation |
+//! | [`serve`] | lock-free snapshot ranking cache with affected-set eviction |
 //! | [`metrics`] | Ω, H@k, MRR, MAP, PD |
 //! | [`telemetry`] | zero-dependency counters, spans, exporters, logging |
 //!
@@ -57,7 +57,6 @@ pub use durable::{DurableOptions, RecoveryReport};
 pub use framework::{Framework, FrameworkConfig, Strategy};
 pub use kg_graph::{GraphSnapshot, SharedGraph};
 pub use kg_serve::{ServeHandle, SnapshotServer};
-pub use kg_sim::DeltaConfig;
 pub use kg_votes::wal::{TornTail, WalError};
 
 pub use kg_cluster as cluster;

@@ -176,17 +176,6 @@ impl KnowledgeGraph {
         (&self.out_targets[lo..hi], &self.out_weights[lo..hi])
     }
 
-    /// The in-adjacency row of `node`: sources and the connecting edge
-    /// ids, sorted by source id. Used by the delta-repair path to gather
-    /// a node's incoming contributions without building [`EdgeRef`]s.
-    #[inline]
-    pub fn in_row(&self, node: NodeId) -> (&[NodeId], &[EdgeId]) {
-        let i = node.index();
-        let lo = self.in_offsets[i] as usize;
-        let hi = self.in_offsets[i + 1] as usize;
-        (&self.in_sources[lo..hi], &self.in_edge_ids[lo..hi])
-    }
-
     /// Iterate the in-edges of `node` as [`EdgeRef`]s.
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
         let i = node.index();
@@ -531,20 +520,6 @@ mod tests {
         snap.restore(&mut g);
         assert_coherent(&g);
         assert_eq!(g.weight(EdgeId(0)), 0.6);
-    }
-
-    #[test]
-    fn in_row_matches_in_edges() {
-        let g = diamond();
-        let t = g.find_node("t").unwrap();
-        let (sources, edge_ids) = g.in_row(t);
-        let via_edges: Vec<(NodeId, EdgeId)> = g.in_edges(t).map(|e| (e.from, e.edge)).collect();
-        let via_row: Vec<(NodeId, EdgeId)> = sources
-            .iter()
-            .copied()
-            .zip(edge_ids.iter().copied())
-            .collect();
-        assert_eq!(via_row, via_edges);
     }
 
     #[test]

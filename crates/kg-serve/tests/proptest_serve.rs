@@ -1,15 +1,19 @@
 //! Cache-coherence property: under *arbitrary* interleavings of weight
-//! mutations, single-query lookups, batched lookups, and manual cache
-//! clears, a [`ScoreServer`]'s output is byte-identical to an uncached
-//! [`kg_sim::rank_answers`] evaluation at every step.
+//! mutations, publishes, weight-snapshot captures and restores, lookups
+//! against the latest or an older published snapshot, batched lookups,
+//! and cache clears, a [`SnapshotServer`]'s output is bit-identical
+//! (`f64::to_bits`) to an uncached [`kg_sim::rank_answers`] evaluation of
+//! the snapshot it ranked against, at every step.
 //!
-//! This is the contract the whole serving design rests on — delta-based
-//! invalidation is only a performance trick if it can never serve a stale
+//! This is the contract the whole serving design rests on — affected-set
+//! eviction is only a performance trick if it can never serve a stale
 //! ranking.
 
-use kg_graph::{EdgeId, GraphBuilder, KnowledgeGraph, NodeId, NodeKind};
-use kg_serve::{ScoreServer, ServeConfig};
-use kg_sim::{rank_answers, BatchQuery, SimilarityConfig};
+use kg_graph::{
+    EdgeId, GraphBuilder, GraphSnapshot, KnowledgeGraph, NodeId, NodeKind, WeightSnapshot,
+};
+use kg_serve::{ServeConfig, SnapshotServer};
+use kg_sim::{rank_answers, BatchQuery, RankedAnswer, SimilarityConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -60,9 +64,30 @@ fn build_graph(edge_picks: &[(u8, u8, f64)]) -> (KnowledgeGraph, Vec<NodeId>, Ve
     (b.build(), queries, answers)
 }
 
+/// Bitwise comparison against the uncached oracle — `==` on `f64` would
+/// let `-0.0`/`0.0` confusions slide.
+fn bits_equal(served: &[RankedAnswer], oracle: &[RankedAnswer]) -> Result<(), String> {
+    if served.len() != oracle.len() {
+        return Err(format!(
+            "length mismatch: served {} vs oracle {}",
+            served.len(),
+            oracle.len()
+        ));
+    }
+    for (s, o) in served.iter().zip(oracle) {
+        if s.node != o.node || s.rank != o.rank || s.score.to_bits() != o.score.to_bits() {
+            return Err(format!("entry diverged: served {s:?} vs oracle {o:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// One step of the interleaving, decoded from generated integers:
-/// `0` → mutate a weight, `1` → single rank, `2` → batch rank,
-/// `3` → clear the cache.
+/// `0` → set a weight on the writer's graph, `1` → publish it,
+/// `2` → rank against the latest snapshot, `3` → batch rank against it,
+/// `4` → capture the writer's weights, `5` → restore the captured
+/// weights and publish (the version moves forward), `6` → rank against
+/// an older published snapshot, `7` → clear the cache.
 type Op = (u8, u8, f64, u8);
 
 fn arb_scenario() -> impl Strategy<Value = (Vec<(u8, u8, f64)>, Vec<Op>)> {
@@ -75,7 +100,7 @@ fn arb_scenario() -> impl Strategy<Value = (Vec<(u8, u8, f64)>, Vec<Op>)> {
             ),
             0..60,
         ),
-        proptest::collection::vec((0u8..4, 0u8..64, 0.05f64..1.0, 1u8..6), 1..40),
+        proptest::collection::vec((0u8..8, 0u8..64, 0.05f64..1.0, 1u8..6), 1..48),
     )
 }
 
@@ -83,55 +108,76 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn server_is_always_identical_to_uncached_ranking(
+    fn server_is_always_bit_identical_to_uncached_ranking(
         (edge_picks, ops) in arb_scenario()
     ) {
         let (mut graph, queries, answers) = build_graph(&edge_picks);
         let sim = SimilarityConfig::default();
-        let mut server = ScoreServer::new(ServeConfig {
+        let server = SnapshotServer::new(ServeConfig {
             sim,
             workers: 2,
-            ..Default::default()
+            shards: 4,
         });
         let edge_ids: Vec<EdgeId> = graph.edges().map(|e| e.edge).collect();
+        // Every snapshot published so far, oldest first; the last one is
+        // the latest.
+        let mut published: Vec<GraphSnapshot> = vec![graph.publish()];
+        let mut captured: Option<WeightSnapshot> = None;
+        let mut rank_ops = 0u64;
 
         for &(op, sel, weight, k) in &ops {
+            let k = k as usize;
+            let q = queries[sel as usize % queries.len()];
             match op {
                 0 => {
                     let e = edge_ids[sel as usize % edge_ids.len()];
                     graph.set_weight(e, weight).unwrap();
                 }
-                1 => {
-                    let q = queries[sel as usize % queries.len()];
-                    let got = server.rank(&graph, q, &answers, k as usize);
-                    let want = rank_answers(&graph, q, &answers, &sim, k as usize);
-                    prop_assert_eq!(got, want, "single rank diverged at query {}", q);
-                }
+                1 => published.push(graph.publish()),
                 2 => {
+                    let snap = published.last().unwrap();
+                    let got = server.rank_at(snap, q, &answers, k);
+                    let want = rank_answers(snap, q, &answers, &sim, k);
+                    prop_assert!(bits_equal(&got, &want).is_ok(),
+                        "rank_at query {}: {}", q, bits_equal(&got, &want).unwrap_err());
+                    rank_ops += 1;
+                }
+                3 => {
+                    let snap = published.last().unwrap();
                     let requests: Vec<BatchQuery> = queries
                         .iter()
-                        .map(|&q| BatchQuery { query: q, answers: &answers, k: k as usize })
+                        .map(|&q| BatchQuery { query: q, answers: &answers, k })
                         .collect();
-                    let got = server.rank_batch(&graph, &requests);
+                    let got = server.rank_batch_at(snap, &requests);
                     for (i, &q) in queries.iter().enumerate() {
-                        let want = rank_answers(&graph, q, &answers, &sim, k as usize);
-                        prop_assert_eq!(&got[i], &want, "batch rank diverged at query {}", q);
+                        let want = rank_answers(snap, q, &answers, &sim, k);
+                        prop_assert!(bits_equal(&got[i], &want).is_ok(),
+                            "rank_batch_at query {}: {}", q, bits_equal(&got[i], &want).unwrap_err());
                     }
+                    rank_ops += queries.len() as u64;
+                }
+                4 => captured = Some(WeightSnapshot::capture(&graph)),
+                5 => {
+                    if let Some(c) = &captured {
+                        c.restore(&mut graph);
+                        published.push(graph.publish());
+                    }
+                }
+                6 => {
+                    let snap = &published[sel as usize % published.len()];
+                    let got = server.rank_at(snap, q, &answers, k);
+                    let want = rank_answers(snap, q, &answers, &sim, k);
+                    prop_assert!(bits_equal(&got, &want).is_ok(),
+                        "older snapshot at epoch {}: {}", snap.epoch(),
+                        bits_equal(&got, &want).unwrap_err());
+                    rank_ops += 1;
                 }
                 _ => server.clear(),
             }
         }
-        // The interleaving must actually exercise the cache: by the end,
-        // hits + misses covers every rank op issued.
+        // Every rank op is accounted for as exactly one hit or one miss.
         let stats = server.stats();
-        let rank_ops: u64 = ops
-            .iter()
-            .map(|&(op, ..)| match op {
-                1 => 1,
-                2 => queries.len() as u64,
-                _ => 0,
-            })
-            .sum();
         prop_assert_eq!(stats.hits + stats.misses, rank_ops);
+        prop_assert_eq!(stats.repaired, 0);
     }
 }

@@ -1,13 +1,16 @@
-//! Version-regression coherence: a server that has validated against a
-//! newer graph version must fully clear its cache when handed an *older*
-//! graph (unknown lineage — deltas can't prove anything), and a
-//! snapshot restore on the same graph (version moves forward) must ride
-//! the delta-invalidation path. In both cases every ranking served
-//! afterwards must be byte-identical to an uncached
-//! [`kg_sim::rank_answers`] evaluation.
+//! Version-regression coherence under the snapshot rules: shards only
+//! ever move forward, so a snapshot from an *older lineage* (a reload or
+//! a fresh build — epochs restart) is served by direct evaluation without
+//! rewinding any shard, until [`SnapshotServer::clear`] re-attaches the
+//! cache; and a weight-snapshot restore on the same graph (the version
+//! moves forward) is invalidated through the changed-edge path, without
+//! a full clear. In every case each ranking served must be bit-identical
+//! to an uncached [`kg_sim::rank_answers`] evaluation.
 
-use kg_graph::{EdgeId, GraphBuilder, KnowledgeGraph, NodeId, NodeKind, WeightSnapshot};
-use kg_serve::{ScoreServer, ServeConfig};
+use kg_graph::{
+    EdgeId, GraphBuilder, GraphSnapshot, KnowledgeGraph, NodeId, NodeKind, WeightSnapshot,
+};
+use kg_serve::SnapshotServer;
 use kg_sim::rank_answers;
 
 fn scene() -> (KnowledgeGraph, NodeId, Vec<NodeId>) {
@@ -30,15 +33,15 @@ fn scene() -> (KnowledgeGraph, NodeId, Vec<NodeId>) {
 
 /// Bitwise comparison against the uncached oracle.
 fn assert_matches_oracle(
-    server: &mut ScoreServer,
-    graph: &KnowledgeGraph,
+    server: &SnapshotServer,
+    snap: &GraphSnapshot,
     query: NodeId,
     answers: &[NodeId],
     context: &str,
 ) {
     let cfg = server.config().sim;
-    let served = server.rank(graph, query, answers, answers.len());
-    let oracle = rank_answers(graph, query, answers, &cfg, answers.len());
+    let served = server.rank_at(snap, query, answers, answers.len());
+    let oracle = rank_answers(snap, query, answers, &cfg, answers.len());
     assert_eq!(served.len(), oracle.len(), "{context}: length mismatch");
     for (s, o) in served.iter().zip(&oracle) {
         assert_eq!(s.node, o.node, "{context}: node order differs");
@@ -54,62 +57,82 @@ fn assert_matches_oracle(
 }
 
 #[test]
-fn older_graph_version_forces_a_full_clear() {
+fn older_lineage_is_served_uncached_until_clear() {
     let (mut graph, q, answers) = scene();
-    // An old clone: same weights, but its version counter is behind the
-    // mutated original — the regression case.
-    let old_graph = graph.clone();
     graph.set_weight(EdgeId(0), 0.9).unwrap();
-    assert!(old_graph.version() < graph.version());
+    graph.set_weight(EdgeId(4), 0.05).unwrap();
+    let newer = graph.publish();
+    // A fresh build of the same topology with different weights: its
+    // epochs restart, so it sits behind every shard the newer lineage
+    // has reached.
+    let (mut other, _, _) = scene();
+    other.set_weight(EdgeId(1), 0.6).unwrap();
+    let older = other.publish();
+    assert!(older.epoch() < newer.epoch());
 
-    let mut server = ScoreServer::new(ServeConfig::default());
-    assert_matches_oracle(&mut server, &graph, q, &answers, "warm-up on new graph");
+    let server = SnapshotServer::default();
+    assert_matches_oracle(&server, &newer, q, &answers, "warm-up on newer lineage");
     assert_eq!(server.cached_queries(), 1);
-    let clears_before = server.stats().full_clears;
 
-    // Handing the server the older graph must drop the whole cache (its
-    // entries were validated against a version the old graph never saw)
-    // and still serve oracle-identical rankings.
-    assert_matches_oracle(&mut server, &old_graph, q, &answers, "regressed graph");
+    // The older lineage is evaluated directly: never cached, never a
+    // hit, and the shard is not rewound.
+    for round in 0..2 {
+        assert_matches_oracle(&server, &older, q, &answers, "older lineage");
+        assert_eq!(server.stats().hits, 0, "round {round}");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.misses, 3, "every older-lineage read is a miss");
+    assert_eq!(stats.full_clears, 0, "no implicit clear");
+    assert_eq!(stats.invalidated, 0, "the newer entry is not touched");
+    // The newer lineage's entry survived the stragglers.
+    assert_matches_oracle(&server, &newer, q, &answers, "newer lineage, cached");
+    assert_eq!(server.stats().hits, 1);
+
+    // clear() re-attaches the cache to the older lineage.
+    server.clear();
+    assert_eq!(server.stats().full_clears, 1);
+    assert_eq!(server.cached_queries(), 0);
+    assert_matches_oracle(&server, &older, q, &answers, "older lineage after clear");
+    assert_matches_oracle(&server, &older, q, &answers, "older lineage, cached");
     assert_eq!(
-        server.stats().full_clears,
-        clears_before + 1,
-        "version regression must fully clear the cache"
+        server.stats().hits,
+        2,
+        "the cache serves the older lineage again"
     );
-    // The post-clear entry is valid for the old graph, and a re-request
-    // hits the cache while remaining oracle-identical.
-    let hits_before = server.stats().hits;
-    assert_matches_oracle(&mut server, &old_graph, q, &answers, "regressed, cached");
-    assert_eq!(server.stats().hits, hits_before + 1);
 }
 
 #[test]
-fn snapshot_restore_invalidates_through_the_delta_path() {
+fn forward_restore_is_invalidated_without_a_full_clear() {
     let (mut graph, q, answers) = scene();
-    let snap = WeightSnapshot::capture(&graph);
+    let captured = WeightSnapshot::capture(&graph);
 
-    let mut server = ScoreServer::new(ServeConfig::default());
-    assert_matches_oracle(&mut server, &graph, q, &answers, "initial weights");
+    let server = SnapshotServer::default();
+    assert_matches_oracle(&server, &graph.publish(), q, &answers, "initial weights");
 
-    // Perturb, serve, then roll back via the snapshot. The restore moves
-    // the version *forward* (kg-graph's restore re-writes weights), so
-    // the server must invalidate through changes_since, not a full clear.
+    // Perturb, serve, then roll back via the weight snapshot. The restore
+    // moves the version *forward* (kg-graph's restore re-writes weights),
+    // so the server must invalidate through the changed edges, not a
+    // full clear.
     graph.set_weight(EdgeId(0), 0.95).unwrap();
-    assert_matches_oracle(&mut server, &graph, q, &answers, "perturbed weights");
-    let clears_before = server.stats().full_clears;
-    snap.restore(&mut graph);
-    assert_matches_oracle(&mut server, &graph, q, &answers, "restored weights");
+    assert_matches_oracle(&server, &graph.publish(), q, &answers, "perturbed");
+    let before = server.stats();
+    captured.restore(&mut graph);
+    let restored = graph.publish();
+    assert_matches_oracle(&server, &restored, q, &answers, "restored");
+    let after = server.stats();
     assert_eq!(
-        server.stats().full_clears,
-        clears_before,
+        after.full_clears, before.full_clears,
         "forward-version restore must not need a full clear"
     );
+    assert_eq!(after.invalidated, before.invalidated + 1, "q is evicted");
+    assert_eq!(after.misses, before.misses + 1, "and recomputed");
 
-    // After the restore the rankings must equal a fresh server's output
-    // on the restored graph, bit for bit.
-    let mut fresh = ScoreServer::new(ServeConfig::default());
-    let cached = server.rank(&graph, q, &answers, answers.len());
-    let uncached = fresh.rank(&graph, q, &answers, answers.len());
+    // After the restore the rankings equal a fresh server's output on the
+    // restored graph, bit for bit.
+    let fresh = SnapshotServer::default();
+    let cached = server.rank_at(&restored, q, &answers, answers.len());
+    let uncached = fresh.rank_at(&restored, q, &answers, answers.len());
+    assert_eq!(server.stats().hits, after.hits + 1);
     for (c, u) in cached.iter().zip(&uncached) {
         assert_eq!(c.node, u.node);
         assert_eq!(c.score.to_bits(), u.score.to_bits());

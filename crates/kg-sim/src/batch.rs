@@ -8,7 +8,6 @@
 //! workspaces are warm no matter how large the batch grows.
 
 use crate::config::SimilarityConfig;
-use crate::delta::PhiRecord;
 use crate::par::run_worker_loop;
 use crate::topk::RankedAnswer;
 use crate::workspace::PhiWorkspace;
@@ -66,46 +65,6 @@ pub fn rank_many(
             // The lock guards only the result hand-off, never the phi
             // evaluation, so contention stays negligible.
             slots.lock().unwrap()[i] = Some(std::mem::take(out));
-        },
-    );
-    results
-        .into_iter()
-        .map(|r| r.expect("worker loop covers every index"))
-        .collect()
-}
-
-/// Like [`rank_many`], but each result carries the [`PhiRecord`] of its
-/// evaluation, so a serving cache can later *repair* the entry through
-/// [`crate::delta_phi`] instead of evicting it. Rankings are identical to
-/// [`rank_many`] — recording never touches the arithmetic.
-pub fn rank_many_recorded(
-    graph: &KnowledgeGraph,
-    batch: &[BatchQuery<'_>],
-    cfg: &SimilarityConfig,
-    workers: usize,
-) -> Vec<(Vec<RankedAnswer>, PhiRecord)> {
-    let _span = kg_telemetry::span!("votekg.sim.rank_many");
-    if kg_telemetry::is_enabled() {
-        kg_telemetry::counter("votekg.sim.rank_many_batches").incr();
-        kg_telemetry::counter("votekg.sim.rank_many_queries").add(batch.len() as u64);
-        kg_telemetry::histogram("votekg.sim.rank_many_batch_size").record(batch.len() as u64);
-    }
-    let mut results: Vec<Option<(Vec<RankedAnswer>, PhiRecord)>> = Vec::new();
-    results.resize_with(batch.len(), || None);
-    let slots = Mutex::new(&mut results);
-    run_worker_loop(
-        workers,
-        batch.len(),
-        chunk_for(batch.len(), workers),
-        || (PhiWorkspace::new(), Vec::new(), PhiRecord::new()),
-        |(ws, out, rec), i| {
-            let req = &batch[i];
-            ws.rank_into_recorded(graph, req.query, req.answers, cfg, req.k, out, rec);
-            // Capture into the worker's reused buffers (no growth once
-            // warm), then clone — the clone allocates exactly the sizes
-            // the slot's record needs, which costs less than growing a
-            // fresh record during the pass.
-            slots.lock().unwrap()[i] = Some((std::mem::take(out), rec.clone()));
         },
     );
     results

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod approx;
 pub mod batch;
 pub mod config;
 pub mod delta;
@@ -34,13 +33,9 @@ pub mod random_walk;
 pub mod topk;
 pub mod workspace;
 
-pub use approx::F32Workspace;
-pub use batch::{rank_many, rank_many_recorded, BatchQuery};
-pub use config::{DeltaConfig, SimilarityConfig};
-pub use delta::{
-    affected_queries, delta_phi, delta_phi_apply, delta_phi_plan, PhiRecord, RepairFallback,
-    RepairScratch, RepairStats,
-};
+pub use batch::{rank_many, BatchQuery};
+pub use config::SimilarityConfig;
+pub use delta::affected_queries;
 pub use engine::{BackwardWalkEngine, MonteCarloEngine, PdistEngine, PprEngine, SimilarityEngine};
 pub use explain::{explain_ranking, Explanation};
 pub use par::run_worker_loop;

@@ -17,7 +17,6 @@
 //! produces bitwise-identical scores for `prune_eps = 0`.
 
 use crate::config::SimilarityConfig;
-use crate::delta::PhiRecord;
 use crate::topk::{by_score_then_id, RankedAnswer};
 use kg_graph::{KnowledgeGraph, NodeId};
 
@@ -65,8 +64,7 @@ pub struct PhiWorkspace {
     n: usize,
     // Upper bound on the phi error introduced by `prune_eps` this pass.
     pruned_bound: f64,
-    // Edges expanded by the most recent pass (the pass's work measure;
-    // delta repair budgets itself against this).
+    // Edges expanded by the most recent pass (the pass's work measure).
     edge_ops: u64,
 }
 
@@ -102,32 +100,6 @@ impl PhiWorkspace {
     /// in [`Self::pruned_bound`]); with the default `prune_eps = 0` the
     /// scores are bitwise-identical to [`crate::phi_vector`].
     pub fn compute(&mut self, graph: &KnowledgeGraph, query: NodeId, cfg: &SimilarityConfig) {
-        self.compute_impl(graph, query, cfg, None);
-    }
-
-    /// Like [`Self::compute`], but additionally captures the pass's
-    /// per-level frontier state into `record`, enabling later incremental
-    /// repair through [`crate::delta_phi`] when a few edge weights change.
-    /// The recorded scores are the *same floats* the workspace holds — the
-    /// recording hook never touches the arithmetic, so recorded and plain
-    /// passes are bitwise identical.
-    pub fn compute_recorded(
-        &mut self,
-        graph: &KnowledgeGraph,
-        query: NodeId,
-        cfg: &SimilarityConfig,
-        record: &mut PhiRecord,
-    ) {
-        self.compute_impl(graph, query, cfg, Some(record));
-    }
-
-    fn compute_impl(
-        &mut self,
-        graph: &KnowledgeGraph,
-        query: NodeId,
-        cfg: &SimilarityConfig,
-        mut record: Option<&mut PhiRecord>,
-    ) {
         assert!(
             query.index() < graph.node_count(),
             "query node {query} out of range"
@@ -142,9 +114,6 @@ impl PhiWorkspace {
         self.phi_token = self.token;
         self.touched.clear();
         self.active.clear();
-        if let Some(rec) = record.as_deref_mut() {
-            rec.begin(query, cfg, graph.node_count());
-        }
 
         // The length-0 walk.
         self.phi[query.index()] = c;
@@ -198,18 +167,12 @@ impl PhiWorkspace {
                 }
                 self.phi[i] += c * decay * self.next_mass[i];
             }
-            if let Some(rec) = record.as_deref_mut() {
-                rec.push_level(&self.next_active, &self.next_mass);
-            }
             std::mem::swap(&mut self.mass, &mut self.next_mass);
             std::mem::swap(&mut self.mass_stamp, &mut self.next_stamp);
             std::mem::swap(&mut self.active, &mut self.next_active);
             if self.active.is_empty() {
                 break;
             }
-        }
-        if let Some(rec) = record {
-            rec.finish(&self.touched, &self.phi, self.edge_ops);
         }
     }
 
@@ -238,8 +201,8 @@ impl PhiWorkspace {
         self.pruned_bound
     }
 
-    /// Number of edges expanded by the most recent pass — the work the
-    /// delta-repair path budgets itself against.
+    /// Number of edges expanded by the most recent pass — the kernel's
+    /// work measure.
     pub fn edge_ops(&self) -> u64 {
         self.edge_ops
     }
@@ -268,23 +231,6 @@ impl PhiWorkspace {
         out: &mut Vec<RankedAnswer>,
     ) {
         self.compute(graph, query, cfg);
-        self.rank_current_into(answers, k, out);
-    }
-
-    /// Like [`Self::rank_into`], but also captures a [`PhiRecord`] for the
-    /// pass (see [`Self::compute_recorded`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn rank_into_recorded(
-        &mut self,
-        graph: &KnowledgeGraph,
-        query: NodeId,
-        answers: &[NodeId],
-        cfg: &SimilarityConfig,
-        k: usize,
-        out: &mut Vec<RankedAnswer>,
-        record: &mut PhiRecord,
-    ) {
-        self.compute_recorded(graph, query, cfg, record);
         self.rank_current_into(answers, k, out);
     }
 

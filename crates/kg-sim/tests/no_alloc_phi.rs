@@ -12,8 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kg_graph::{EdgeId, GraphBuilder, KnowledgeGraph, NodeId, NodeKind};
-use kg_sim::{delta_phi, DeltaConfig, PhiRecord, PhiWorkspace, RepairScratch, SimilarityConfig};
+use kg_graph::{GraphBuilder, KnowledgeGraph, NodeId, NodeKind};
+use kg_sim::{PhiWorkspace, SimilarityConfig};
 
 struct CountingAllocator;
 
@@ -91,7 +91,6 @@ fn build_graph() -> (KnowledgeGraph, Vec<NodeId>, Vec<NodeId>) {
 fn warm_paths_do_not_allocate() {
     warm_ranking_path_does_not_allocate();
     warm_compute_with_pruning_does_not_allocate();
-    warm_delta_repair_does_not_allocate();
 }
 
 fn warm_ranking_path_does_not_allocate() {
@@ -125,66 +124,6 @@ fn warm_ranking_path_does_not_allocate() {
         after - before < NOISE_ALLOWANCE,
         "warm PhiWorkspace ranking must not allocate (saw {})",
         after - before
-    );
-}
-
-/// The serving layer's repair loop — `delta_phi` against a captured
-/// [`PhiRecord`] followed by a re-rank from the repaired record — must be
-/// heap-free once the [`RepairScratch`] and record buffers are at their
-/// high-water marks. Graph mutation happens *outside* the measured
-/// windows (the weight log may grow); only the repair + re-rank calls are
-/// counted, matching what a warm `ScoreServer::sync` pays per entry.
-fn warm_delta_repair_does_not_allocate() {
-    kg_telemetry::disable();
-    let (mut graph, queries, answers) = build_graph();
-    let cfg = SimilarityConfig::default();
-    let delta_cfg = DeltaConfig::default();
-    let mut ws = PhiWorkspace::new();
-    let mut scratch = RepairScratch::new();
-    let mut records: Vec<PhiRecord> = Vec::new();
-    let mut out = Vec::new();
-    let mut scored = Vec::new();
-    for &q in &queries {
-        let mut rec = PhiRecord::new();
-        ws.rank_into_recorded(&graph, q, &answers, &cfg, answers.len(), &mut out, &mut rec);
-        records.push(rec);
-    }
-    // Edges whose repairs we exercise: one per frontier depth (query→hub
-    // and hub→answer) so the cascade spans levels.
-    let changed = [EdgeId(0), EdgeId(graph.edge_count() as u32 - 1)];
-
-    // Warm-up rounds grow the scratch frontier/overlay buffers and each
-    // record's ranking scratch to their high-water marks.
-    for round in 0..2 {
-        for &e in &changed {
-            graph.set_weight(e, 0.4 + 0.1 * round as f64).unwrap();
-        }
-        for rec in &mut records {
-            delta_phi(&graph, rec, &changed, &cfg, &delta_cfg, &mut scratch)
-                .expect("repair must succeed on this workload");
-            rec.rank_into(&answers, answers.len(), &mut scored, &mut out);
-        }
-    }
-
-    let mut measured = 0u64;
-    for round in 0..100 {
-        for &e in &changed {
-            graph
-                .set_weight(e, 0.3 + ((round % 7) as f64) / 10.0)
-                .unwrap();
-        }
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for rec in &mut records {
-            delta_phi(&graph, rec, &changed, &cfg, &delta_cfg, &mut scratch)
-                .expect("repair must succeed on this workload");
-            rec.rank_into(&answers, answers.len(), &mut scored, &mut out);
-            assert!(!out.is_empty());
-        }
-        measured += ALLOCATIONS.load(Ordering::SeqCst) - before;
-    }
-    assert!(
-        measured < NOISE_ALLOWANCE,
-        "warm delta_phi repair + re-rank must not allocate (saw {measured})"
     );
 }
 

@@ -72,8 +72,12 @@ impl InnerOptimizer for LbfgsOptimizer {
             };
         }
 
-        // Curvature history (s_k, y_k, 1/(y_k·s_k)).
+        // Curvature history (s_k, y_k, 1/(y_k·s_k)). Pair buffers are
+        // recycled through `spare` for the whole solve, so an iteration
+        // allocates nothing once `memory` pairs exist.
         let mut history: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::with_capacity(self.memory);
+        let mut spare: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(self.memory + 1);
+        let mut alphas: Vec<f64> = Vec::with_capacity(self.memory);
         let mut dir = vec![0.0; n];
         let mut trial = vec![0.0; n];
         let mut trial_grad = vec![0.0; n];
@@ -87,7 +91,7 @@ impl InnerOptimizer for LbfgsOptimizer {
             iterations = t;
             // Two-loop recursion: dir = -H·grad.
             dir.copy_from_slice(&grad);
-            let mut alphas = Vec::with_capacity(history.len());
+            alphas.clear();
             for (s, y, rho) in history.iter().rev() {
                 let a = rho * dot(s, &dir);
                 axpy(&mut dir, y, -a);
@@ -101,7 +105,7 @@ impl InnerOptimizer for LbfgsOptimizer {
                 // First iteration: scale like a gradient step.
                 dir.iter_mut().for_each(|d| *d *= learning_rate);
             }
-            for ((s, y, rho), a) in history.iter().zip(alphas.into_iter().rev()) {
+            for ((s, y, rho), &a) in history.iter().zip(alphas.iter().rev()) {
                 let b = rho * dot(y, &dir);
                 axpy(&mut dir, s, a - b);
             }
@@ -109,7 +113,7 @@ impl InnerOptimizer for LbfgsOptimizer {
             let descent = dot(&grad, &dir);
             if !descent.is_finite() || descent <= 0.0 {
                 // Curvature broke down: reset to steepest descent.
-                history.clear();
+                spare.extend(history.drain(..).map(|(s, y, _)| (s, y)));
                 dir.copy_from_slice(&grad);
                 dir.iter_mut().for_each(|d| *d *= learning_rate);
             }
@@ -131,17 +135,27 @@ impl InnerOptimizer for LbfgsOptimizer {
                 let trial_value = f(&trial, &mut trial_grad);
                 if trial_value.is_finite() && trial_value <= value - self.armijo * model_decrease {
                     // Record curvature (projected step).
-                    let s: Vec<f64> = trial.iter().zip(&x).map(|(a, b)| a - b).collect();
-                    let y: Vec<f64> = trial_grad.iter().zip(&grad).map(|(a, b)| a - b).collect();
+                    let (mut s, mut y) =
+                        spare.pop().unwrap_or_else(|| (vec![0.0; n], vec![0.0; n]));
+                    for (si, (a, b)) in s.iter_mut().zip(trial.iter().zip(&x)) {
+                        *si = a - b;
+                    }
+                    for (yi, (a, b)) in y.iter_mut().zip(trial_grad.iter().zip(&grad)) {
+                        *yi = a - b;
+                    }
                     let sy = dot(&s, &y);
+                    let max_move = s.iter().fold(0.0f64, |m, v| m.max(v.abs()));
                     if sy > 1e-12 {
                         if history.len() == self.memory {
-                            history.pop_front();
+                            if let Some((old_s, old_y, _)) = history.pop_front() {
+                                spare.push((old_s, old_y));
+                            }
                         }
                         let rho = 1.0 / sy;
-                        history.push_back((s.clone(), y, rho));
+                        history.push_back((s, y, rho));
+                    } else {
+                        spare.push((s, y));
                     }
-                    let max_move = s.iter().fold(0.0f64, |m, v| m.max(v.abs()));
                     x.copy_from_slice(&trial);
                     grad.copy_from_slice(&trial_grad);
                     value = trial_value;

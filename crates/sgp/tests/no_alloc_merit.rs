@@ -1,10 +1,12 @@
-//! Asserts the SGP merit evaluation is allocation-free: a solve compiles
-//! its problem once, and every merit call afterwards reuses the compiled
-//! kernel's scratch. So the allocations of one `PenaltySolver::solve`
-//! must not grow with its inner-iteration count — checked at 50 and 500
-//! inner iterations (`step_tol` 0, so every iteration runs) on a
-//! multi-vote program and on a constrained single-vote program, both
-//! shaped like kg-votes' encodings.
+//! Asserts the SGP merit evaluation and the inner optimizers' iterations
+//! are allocation-free: a solve compiles its problem once, every merit
+//! call afterwards reuses the compiled kernel's scratch, and projected
+//! L-BFGS recycles its curvature-pair buffers within the solve. So the
+//! allocations of one `PenaltySolver::solve` must not grow with its
+//! inner-iteration count — checked at 50 and 500 inner iterations
+//! (`step_tol` 0, so every iteration runs) on a multi-vote program and on
+//! a constrained single-vote program, both shaped like kg-votes'
+//! encodings, with the default Adam inner optimizer and with L-BFGS.
 //!
 //! Lives in its own integration-test binary so the counting global
 //! allocator does not interfere with other tests (same pattern as
@@ -14,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sgp::{
-    CompositeObjective, Monomial, ObjectiveTerm, PenaltySolver, SgpProblem, Signomial,
-    SolveOptions, SolveResult, Solver, VarId, VarSpace,
+    CompositeObjective, LbfgsOptimizer, Monomial, ObjectiveTerm, PenaltySolver, SgpProblem,
+    Signomial, SolveOptions, SolveResult, Solver, VarId, VarSpace,
 };
 
 struct CountingAllocator;
@@ -142,42 +144,41 @@ fn single_vote_program() -> SgpProblem {
 }
 
 /// Allocations made by one solve of `p` with `inner` inner iterations.
-fn solve_allocations(p: &SgpProblem, inner: usize) -> (u64, SolveResult) {
+fn solve_allocations(solver: &dyn Solver, p: &SgpProblem, inner: usize) -> (u64, SolveResult) {
     let opts = SolveOptions {
         max_outer_iters: 3,
         max_inner_iters: inner,
         step_tol: 0.0,
         ..SolveOptions::default()
     };
-    let solver = PenaltySolver::new();
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let result = solver.solve(p, &opts).expect("solve");
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     (after - before, result)
 }
 
-fn assert_flat_in_iterations(name: &str, p: &SgpProblem) {
+/// Asserts that one solve allocates no more with a 500-iteration inner
+/// budget than with a 50-iteration one, and returns the inner iterations
+/// the two solves ran, so the caller can check the comparison covered
+/// extra iterations.
+fn assert_flat_in_iterations(name: &str, solver: &dyn Solver, p: &SgpProblem) -> (usize, usize) {
     // Warm-up: first-use allocations (thread-locals, telemetry lookups).
-    solve_allocations(p, 5);
-    let (short, r_short) = solve_allocations(p, 50);
-    let (long, r_long) = solve_allocations(p, 500);
-    // Same outer rounds, ten times the inner iterations: otherwise the
-    // comparison says nothing about the merit.
+    solve_allocations(solver, p, 5);
+    let (short, r_short) = solve_allocations(solver, p, 50);
+    let (long, r_long) = solve_allocations(solver, p, 500);
     assert_eq!(r_short.outer_iterations, r_long.outer_iterations, "{name}");
-    assert_eq!(
-        r_long.inner_iterations,
-        10 * r_short.inner_iterations,
-        "{name}"
-    );
     assert!(
         long <= short + NOISE_ALLOWANCE,
-        "{name}: {long} allocations at 500 inner iterations vs {short} at 50 \
-         — the merit allocates per call"
+        "{name}: {long} allocations in {} inner iterations vs {short} in {} \
+         — the solve allocates per iteration",
+        r_long.inner_iterations,
+        r_short.inner_iterations
     );
+    (r_short.inner_iterations, r_long.inner_iterations)
 }
 
-/// Both programs are measured from ONE `#[test]` function: the counter
-/// is process-global, and separate tests would run on separate threads
+/// All cases are measured from ONE `#[test]` function: the counter is
+/// process-global, and separate tests would run on separate threads
 /// whose harness bookkeeping bleeds into each other's windows.
 #[test]
 fn merit_evaluation_does_not_allocate() {
@@ -189,6 +190,27 @@ fn merit_evaluation_does_not_allocate() {
     // The single-vote program starts infeasible, so its merit carries
     // penalty terms.
     assert!(single.max_violation(&single.vars.initial_point()) > 0.0);
-    assert_flat_in_iterations("multi-vote", &multi);
-    assert_flat_in_iterations("single-vote", &single);
+    // Adam runs every iteration it is given (`step_tol` 0): same outer
+    // rounds, ten times the inner iterations.
+    let adam = PenaltySolver::new();
+    for (name, p) in [("multi-vote", &multi), ("single-vote", &single)] {
+        let (short, long) = assert_flat_in_iterations(name, &adam, p);
+        assert_eq!(long, 10 * short, "{name}");
+    }
+    // L-BFGS stops once no Armijo step exists. On the single-vote program
+    // its outer rounds keep it iterating (150 vs about 1,000 inner
+    // iterations), which is the case that shows per-iteration allocation;
+    // on the multi-vote program it converges within a handful of
+    // iterations under either budget.
+    let lbfgs = PenaltySolver::with_inner(LbfgsOptimizer::default());
+    let (short, long) = assert_flat_in_iterations("single-vote, L-BFGS", &lbfgs, &single);
+    assert!(
+        long >= short + 500,
+        "single-vote, L-BFGS: {short} vs {long}"
+    );
+    let (short, long) = assert_flat_in_iterations("multi-vote, L-BFGS", &lbfgs, &multi);
+    assert_eq!(
+        short, long,
+        "multi-vote, L-BFGS converges under both budgets"
+    );
 }
