@@ -15,8 +15,8 @@
 //!   solved.
 //! * **snapshot** — [`votekg::Framework::optimize_incremental`] publishes
 //!   epoch-stamped [`votekg::GraphSnapshot`]s; readers serve through a
-//!   cloned [`votekg::ServeHandle`] over the lock-free
-//!   [`votekg::SnapshotServer`] and never block on the writer. A sample
+//!   cloned [`votekg::ServeHandle`] over the [`votekg::SnapshotServer`],
+//!   waiting at most for one pointer swap, never for a round. A sample
 //!   of reads is verified byte-identical to an uncached
 //!   [`kg_sim::rank_answers`] evaluation of the exact snapshot served.
 //!
@@ -263,8 +263,8 @@ fn run_mutex_arm(
 }
 
 /// The snapshot architecture: the framework's incremental pipeline
-/// publishes between batches; readers serve lock-free through
-/// `ServeHandle`s. Votes are fed batch by batch so each round's wall
+/// publishes between batches; readers serve through `ServeHandle`s and
+/// never wait for a round. Votes are fed batch by batch so each round's wall
 /// clock can be timed from outside.
 fn run_snapshot_arm(
     graph: &KnowledgeGraph,

@@ -149,11 +149,7 @@ fn main() {
         batch
     );
 
-    let server = SnapshotServer::new(ServeConfig {
-        sim,
-        workers,
-        ..Default::default()
-    });
+    let server = SnapshotServer::new(ServeConfig { sim, workers });
 
     // Warm both arms once on the pristine graph (the cached arm fills its
     // cache; the uncached arm has no state to warm, its pass is just the

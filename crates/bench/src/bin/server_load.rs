@@ -28,7 +28,7 @@
 //!       [--scale f] [--seed u] [--clients n] [--requests n]
 //!       [--mode closed|open|both] [--binary-frac f] [--vote-frac f]
 //!       [--burst n] [--zipf f] [--think-us n] [--open-rate f]
-//!       [--server-workers n] [--shards n] [--queue-depth n]
+//!       [--server-workers n] [--queue-depth n]
 //!       [--opt-rounds n] [--batch n] [--votes n] [--durable]
 //!       [--enforce] [--out path]`
 
@@ -79,15 +79,16 @@ struct ClientOutcome {
     max_epoch: u64,
 }
 
-/// Latency summary for one request class, microseconds, interpolated
-/// quantiles from a log-scale [`kg_telemetry::Histogram`].
+/// Latency summary for one request class, microseconds: exact
+/// nearest-rank quantiles over the raw samples. A quantile is `null`
+/// unless at least ten samples lie beyond it.
 #[derive(Debug, Serialize)]
 struct LatencyOut {
     count: u64,
-    p50_us: f64,
-    p90_us: f64,
-    p99_us: f64,
-    p999_us: f64,
+    p50_us: Option<f64>,
+    p90_us: Option<f64>,
+    p99_us: Option<f64>,
+    p999_us: Option<f64>,
     max_us: f64,
 }
 
@@ -151,7 +152,6 @@ struct ServerBench {
     k: usize,
     cores: usize,
     server_workers: usize,
-    serve_shards: usize,
     queue_depth: usize,
     durable: bool,
     plan: PlanSummary,
@@ -391,23 +391,26 @@ fn trigger_loop(
 
 /// Folds per-class samples into the reported quantiles.
 fn latency_out(samples: &[(bool, u64)], votes: bool) -> LatencyOut {
-    let lat = kg_telemetry::Histogram::standalone();
-    let mut count = 0u64;
-    let mut max_ns = 0u64;
-    for &(is_vote, ns) in samples {
-        if is_vote == votes {
-            lat.record(ns);
-            count += 1;
-            max_ns = max_ns.max(ns);
-        }
-    }
+    let mut ns: Vec<u64> = samples
+        .iter()
+        .filter(|&&(is_vote, _)| is_vote == votes)
+        .map(|&(_, ns)| ns)
+        .collect();
+    ns.sort_unstable();
+    let n = ns.len();
+    // Nearest rank: the smallest sample with at least q·n samples at or
+    // below it, reported only with ten or more samples beyond it.
+    let quantile = |q: f64| {
+        let rank = ((q * n as f64).ceil() as usize).max(1);
+        (n >= rank + 10).then(|| ns[rank - 1] as f64 / 1e3)
+    };
     LatencyOut {
-        count,
-        p50_us: lat.quantile(0.50) / 1e3,
-        p90_us: lat.quantile(0.90) / 1e3,
-        p99_us: lat.quantile(0.99) / 1e3,
-        p999_us: lat.quantile(0.999) / 1e3,
-        max_us: max_ns as f64 / 1e3,
+        count: n as u64,
+        p50_us: quantile(0.50),
+        p90_us: quantile(0.90),
+        p99_us: quantile(0.99),
+        p999_us: quantile(0.999),
+        max_us: ns.last().map_or(0.0, |&max| max as f64 / 1e3),
     }
 }
 
@@ -467,15 +470,16 @@ fn run_mode(params: &RunParams<'_>) -> ModeOut {
 }
 
 fn mode_row(t: &mut Table, m: &ModeOut) {
+    let q = |v: Option<f64>| v.map_or_else(|| "-".to_string(), f2);
     t.row(&[
         m.mode.to_string(),
         format!("{}", m.requests),
         f2(m.wall_ms),
         f2(m.requests_per_sec_per_core),
-        f2(m.rank.p50_us),
-        f2(m.rank.p99_us),
-        f2(m.rank.p999_us),
-        f2(m.vote.p99_us),
+        q(m.rank.p50_us),
+        q(m.rank.p99_us),
+        q(m.rank.p999_us),
+        q(m.vote.p99_us),
         format!(
             "{}",
             m.io_errors + m.protocol_errors + m.server_errors + m.epoch_regressions
@@ -491,7 +495,6 @@ fn main() {
     let requests = num_flag(&args, "--requests", 40).max(1);
     let n_votes = num_flag(&args, "--votes", 24);
     let server_workers = num_flag(&args, "--server-workers", 4);
-    let shards = num_flag(&args, "--shards", 0);
     let queue_depth = num_flag(&args, "--queue-depth", 128);
     let opt_rounds = num_flag(&args, "--opt-rounds", 2);
     let opt_batch = num_flag(&args, "--batch", 4);
@@ -550,7 +553,7 @@ fn main() {
 
     // The served framework, optionally durable in a scratch WAL dir.
     let wal_dir = std::env::temp_dir().join(format!("votekg-server-load-{}", std::process::id()));
-    let mut fw = if durable {
+    let fw = if durable {
         let (fw, _report) = Framework::open_durable(
             &wal_dir,
             scenario.graph.clone(),
@@ -562,9 +565,6 @@ fn main() {
     } else {
         Framework::new(scenario.graph.clone(), FrameworkConfig::default())
     };
-    if shards > 0 {
-        fw = fw.with_serve_shards(shards);
-    }
     let server = KgServer::start(
         fw,
         ServerConfig {
@@ -650,7 +650,6 @@ fn main() {
         k,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         server_workers: server_workers.max(1),
-        serve_shards: shards,
         queue_depth,
         durable,
         plan: plan.summary.clone(),

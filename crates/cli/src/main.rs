@@ -24,7 +24,7 @@ USAGE:
                     [--solve-timeout-ms N] [--serve-workers N]
                     [--trace trace.json] [--wal DIR]
   votekg serve      --system system.json [--addr HOST:PORT]
-                    [--server-workers N] [--serve-workers N] [--shards N]
+                    [--server-workers N] [--serve-workers N]
                     [--queue-depth N] [--read-timeout-ms N]
                     [--wal DIR] [--max-seconds N]
   votekg recover    --system system.json --wal DIR [--out recovered.json]
@@ -294,7 +294,6 @@ fn run() -> Result<(), CliError> {
                 addr: flags.opt("addr").unwrap_or("127.0.0.1:0").to_string(),
                 server_workers: flags.num("server-workers", 4usize)?,
                 serve_workers: flags.num("serve-workers", 1usize)?,
-                shards: flags.num("shards", 0usize)?,
                 queue_depth: flags.num("queue-depth", 128usize)?,
                 read_timeout: std::time::Duration::from_millis(
                     flags.num("read-timeout-ms", 5_000u64)?,

@@ -26,8 +26,6 @@ pub struct ServeArgs {
     pub server_workers: usize,
     /// Serving-cache re-rank workers (1 = inline; results identical).
     pub serve_workers: usize,
-    /// Serving-cache shards (0 keeps the default).
-    pub shards: usize,
     /// Bounded accept-queue depth.
     pub queue_depth: usize,
     /// Per-socket read timeout.
@@ -46,7 +44,6 @@ impl Default for ServeArgs {
             addr: "127.0.0.1:0".to_string(),
             server_workers: 4,
             serve_workers: 1,
-            shards: 0,
             queue_depth: 128,
             read_timeout: Duration::from_secs(5),
             wal: None,
@@ -86,9 +83,6 @@ pub fn serve(args: &ServeArgs) -> Result<DrainReport, CliError> {
         None => votekg::Framework::new(qa.graph, config),
     };
     fw = fw.with_serve_workers(args.serve_workers.max(1));
-    if args.shards > 0 {
-        fw = fw.with_serve_shards(args.shards);
-    }
 
     let server = KgServer::start(
         fw,

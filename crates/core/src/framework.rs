@@ -82,9 +82,11 @@ impl FrameworkConfig {
 /// epoch-stamped [`GraphSnapshot`] through a [`SharedGraph`]. Reads —
 /// [`Self::rank`], [`Self::rank_batch`], and every [`ServeHandle`]
 /// obtained from [`Self::handle`] — evaluate against the latest published
-/// snapshot via a lock-free [`SnapshotServer`] cache, so any number of
-/// reader threads serve concurrently while an optimization round runs,
-/// without a lock anywhere on the read path.
+/// snapshot via a [`SnapshotServer`] cache, so any number of reader
+/// threads serve concurrently while an optimization round runs. The
+/// writer moves the cache to each new snapshot before publishing it, so
+/// readers never pay for the refresh, and a read waits at most for one
+/// pointer swap.
 #[derive(Debug)]
 pub struct Framework {
     graph: KnowledgeGraph,
@@ -94,7 +96,7 @@ pub struct Framework {
     last_snapshot: Option<WeightSnapshot>,
     /// Publication point between this writer and concurrent readers.
     shared: Arc<SharedGraph>,
-    /// Sharded lock-free ranking cache over published snapshots.
+    /// Ranking cache over published snapshots, advanced by every publish.
     server: Arc<SnapshotServer>,
     /// Vote WAL + snapshot checkpointing, when opened via
     /// [`Self::open_durable`]. `None` keeps every entry point infallible,
@@ -228,30 +230,23 @@ impl Framework {
         self
     }
 
-    /// Sets the shard count of the serving cache (more shards, less
-    /// contention between concurrent miss-fills; results are identical
-    /// for any value). Rebuilds the cache, so call it before handing out
-    /// [`Self::handle`]s.
-    pub fn with_serve_shards(mut self, shards: usize) -> Self {
-        let cfg = ServeConfig {
-            shards,
-            ..*self.server.config()
-        };
-        self.server = Arc::new(SnapshotServer::new(cfg));
-        self
-    }
-
     /// Publishes the graph's current state if it is newer than the last
     /// published snapshot, and returns the up-to-date snapshot. Reads go
     /// through this, so single-threaded callers always observe their own
     /// [`Self::graph_mut`] edits, exactly as before snapshotting existed.
+    ///
+    /// The serving cache advances to the new snapshot *before* it becomes
+    /// visible: the writer pays the one eviction pass, and no reader ever
+    /// meets a snapshot newer than the cache.
     fn published(&self) -> GraphSnapshot {
         let snap = self.shared.snapshot();
         if snap.epoch() == self.graph.version() {
-            snap
-        } else {
-            self.shared.publish(&self.graph)
+            return snap;
         }
+        let next = self.graph.publish();
+        self.server.advance(&next);
+        self.shared.store(&next);
+        next
     }
 
     /// Makes the graph's current state visible to every [`ServeHandle`]
@@ -265,8 +260,9 @@ impl Framework {
 
     /// A cheap, cloneable, `Send + Sync` reader handle over this
     /// framework's published snapshots and serving cache: hand one clone
-    /// to each reader thread and they serve concurrently — lock-free —
-    /// while the framework keeps optimizing.
+    /// to each reader thread and they serve concurrently while the
+    /// framework keeps optimizing; a read waits at most for one pointer
+    /// swap, and never for a round or a cache refresh.
     ///
     /// Handles observe state as of the last [`Self::publish`] (every
     /// optimization entry point publishes when it finishes a batch).
@@ -420,12 +416,13 @@ impl Framework {
     /// deployment mode where feedback trickles in continuously and waiting
     /// for a large batch is not acceptable. Returns one report per batch.
     ///
-    /// Between batches the serving cache is refreshed *selectively*: the
-    /// graph's [`kg_graph::WeightDelta`] since the batch started is fed to
-    /// [`kg_sim::affected_queries`], and only the voted queries the
-    /// changed edges can reach (within `L − 1` hops) are re-ranked —
-    /// through [`Self::rank_batch`], so concurrent readers of the
-    /// framework see warm, current rankings the whole time.
+    /// Between batches the serving cache is refreshed *selectively*: each
+    /// batch's publish evicts only the cached queries its changed edges
+    /// can reach (within `L − 1` hops), and the graph's
+    /// [`kg_graph::WeightDelta`] since the batch started is fed to
+    /// [`kg_sim::affected_queries`] to re-rank the voted queries those
+    /// edges can reach — through [`Self::rank_batch`], so concurrent
+    /// readers of the framework see warm, current rankings the whole time.
     ///
     /// Compared to one big [`Self::optimize`] call, smaller batches trade
     /// some conflict-resolution quality (conflicts spanning batches are
@@ -746,6 +743,26 @@ mod tests {
         // The recomputed entry serves the next read from cache.
         assert_eq!(fw.rank(q, &[a1, a2], 2), after);
         assert_eq!(fw.serve_stats().hits, 2);
+    }
+
+    #[test]
+    fn optimize_moves_the_cache_before_any_read() {
+        let (g, q, a1, a2) = scene();
+        let mut fw = Framework::new(g, FrameworkConfig::default());
+        fw.rank(q, &[a1, a2], 2);
+        fw.record_vote(Vote::new(q, vec![a1, a2], a2));
+        fw.optimize(Strategy::MultiVote);
+        // The writer advanced the cache at publish: the eviction is done
+        // before any reader arrives.
+        let stats = fw.serve_stats();
+        assert_eq!(stats.invalidated, 1);
+        assert_eq!(stats.dirty_syncs, 1);
+        // A concurrent reader's read and the framework's own add no sync.
+        let served = fw.handle().rank(q, &[a1, a2], 2);
+        assert_eq!(fw.rank(q, &[a1, a2], 2), served);
+        let stats = fw.serve_stats();
+        assert_eq!(stats.dirty_syncs, 1, "readers never sync");
+        assert_eq!((stats.misses, stats.hits), (2, 1));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | [`votes`] | vote model, SGP encoding, single-/multi-vote solutions |
 //! | [`cluster`] | affinity propagation + split-and-merge scaling |
 //! | [`qa`] | corpus → knowledge graph question answering, IR baseline |
-//! | [`serve`] | lock-free snapshot ranking cache with affected-set eviction |
+//! | [`serve`] | snapshot ranking cache, advanced once per publish by affected-set eviction |
 //! | [`metrics`] | Ω, H@k, MRR, MAP, PD |
 //! | [`telemetry`] | zero-dependency counters, spans, exporters, logging |
 //!

@@ -37,14 +37,6 @@ impl WeightDelta {
     pub fn len(&self) -> usize {
         self.edges.len()
     }
-
-    /// True when this delta describes exactly the interval
-    /// `(from, to]` — the memoization key the serving layer uses to share
-    /// one extraction across cache shards syncing over the same epoch
-    /// transition.
-    pub fn covers(&self, from: u64, to: u64) -> bool {
-        self.from_version == from && self.to_version == to
-    }
 }
 
 #[cfg(test)]

@@ -12,114 +12,96 @@
 //!   Cloning is a reference-count bump; the graph behind it never
 //!   changes, so readers can never observe a torn weight vector.
 //! * [`ArcCell`] — a hand-rolled arc-swap on `std::sync` only (no
-//!   external dependencies): readers [`ArcCell::load`] the current value
-//!   without ever contending with writers, writers [`ArcCell::store`] a
-//!   replacement atomically.
+//!   external dependencies): readers [`ArcCell::load`] the current value,
+//!   writers [`ArcCell::store`] a replacement atomically.
 //! * [`SharedGraph`] — an `ArcCell` of the graph plus the publication
 //!   protocol: the writer mutates its private [`KnowledgeGraph`] and
 //!   calls [`SharedGraph::publish`]; every reader's next
 //!   [`SharedGraph::snapshot`] sees the new epoch.
 //!
-//! # How the lock-free read path works
+//! # How the read path works
 //!
-//! `ArcCell` keeps a small ring of slots, each holding an `Arc<T>`
-//! behind its own (slot-local) lock, plus an atomic index of the *live*
-//! slot. A writer never touches the live slot: it writes the *next* slot
-//! and then moves the index with a release store. A reader loads the
-//! index (acquire) and clones the `Arc` out of that slot. The only way a
-//! reader can meet a writer on the same slot is to stall between its
-//! index load and its slot access for `RING_SLOTS − 1` consecutive
-//! publishes — with 8 slots and publish rates of "once per optimization
-//! batch", that window is practically unreachable; reads are wait-free
-//! with respect to writers in every realistic schedule, and reads never
-//! block writes. Readers holding a stale snapshot keep it alive through
-//! their own `Arc`; memory is reclaimed when the last reader drops it.
+//! `ArcCell` keeps one slot, an `Arc<T>` behind a slot lock, plus a
+//! writer lock. A reader takes the slot lock only to clone the `Arc`
+//! (one reference-count increment). A writer takes the slot lock only to
+//! swap the pointer, and drops the replaced value after releasing it. So
+//! a read waits at most for one pointer swap, never for a writer's work,
+//! and reads never block writes for longer than a reference-count
+//! increment. The cell holds nothing but the current value: a stale
+//! snapshot lives exactly as long as some reader still holds its `Arc`,
+//! and is freed when the last one drops it.
 
 use crate::graph::KnowledgeGraph;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Number of slots in an [`ArcCell`] ring. A reader only ever contends
-/// with a writer after lagging `RING_SLOTS - 1` publishes between two
-/// adjacent instructions.
-const RING_SLOTS: usize = 8;
-
-/// A hand-rolled arc-swap: readers get the current `Arc<T>` without
-/// blocking on writers; writers install a new value atomically.
+/// A hand-rolled arc-swap: readers get the current `Arc<T>`, writers
+/// install a new value atomically.
 ///
-/// Built from `std::sync` primitives only. See the module docs for the
-/// wait-freedom argument.
+/// Built from `std::sync` primitives only. See the module docs for why
+/// a read waits at most for one pointer swap.
 #[derive(Debug)]
 pub struct ArcCell<T> {
-    slots: Box<[Mutex<Arc<T>>]>,
-    /// Index of the live slot. Readers `Acquire`-load it; the writer
-    /// `Release`-stores it after filling the next slot.
-    current: AtomicUsize,
+    /// The current value. Held for a reference-count increment (load)
+    /// or a pointer swap (store), never across a writer's work.
+    slot: Mutex<Arc<T>>,
     /// Serializes writers (store / update) against each other, never
     /// against readers.
     writer: Mutex<()>,
 }
 
+/// Every update under these locks is one pointer swap, so a lock poisoned
+/// by a panicking holder still guards a valid value.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 impl<T> ArcCell<T> {
     /// Creates a cell holding `value`.
     pub fn new(value: Arc<T>) -> Self {
-        let slots: Vec<Mutex<Arc<T>>> =
-            (0..RING_SLOTS).map(|_| Mutex::new(value.clone())).collect();
         ArcCell {
-            slots: slots.into_boxed_slice(),
-            current: AtomicUsize::new(0),
+            slot: Mutex::new(value),
             writer: Mutex::new(()),
         }
     }
 
-    fn slot(&self, i: usize) -> MutexGuard<'_, Arc<T>> {
-        self.slots[i].lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Returns the current value. Never blocks on a writer (see module
-    /// docs); concurrent readers of the same slot serialize only for the
-    /// duration of a reference-count increment.
+    /// Returns the current value. Waits at most for one pointer swap;
+    /// concurrent readers serialize only for a reference-count increment.
     pub fn load(&self) -> Arc<T> {
-        let i = self.current.load(Ordering::Acquire);
-        self.slot(i).clone()
+        lock(&self.slot).clone()
     }
 
-    /// Atomically replaces the current value.
+    /// Atomically replaces the current value. The replaced value is
+    /// dropped outside both locks.
     pub fn store(&self, value: Arc<T>) {
-        let guard = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        self.store_locked(value);
+        let guard = lock(&self.writer);
+        let old = self.swap(value);
         drop(guard);
+        drop(old);
     }
 
     /// Read-modify-write: `f` sees the current value and returns either
     /// `Some(next)` to install it or `None` to leave the cell untouched.
     /// The whole step is atomic with respect to other writers; readers
-    /// are never blocked by it. Returns whether a new value was stored.
+    /// wait at most for the final pointer swap. Returns whether a new
+    /// value was stored.
     pub fn update(&self, f: impl FnOnce(&T) -> Option<Arc<T>>) -> bool {
-        let guard = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let cur = {
-            let i = self.current.load(Ordering::Relaxed);
-            self.slot(i).clone()
+        let guard = lock(&self.writer);
+        let cur = self.load();
+        let Some(next) = f(&cur) else {
+            return false;
         };
-        let stored = match f(&cur) {
-            Some(next) => {
-                self.store_locked(next);
-                true
-            }
-            None => false,
-        };
+        let old = self.swap(next);
         drop(guard);
-        stored
+        drop(old);
+        true
     }
 
-    /// Writes `value` into the next ring slot and advances the live
-    /// index. Caller must hold the writer lock.
-    fn store_locked(&self, value: Arc<T>) {
-        let cur = self.current.load(Ordering::Relaxed);
-        let next = (cur + 1) % self.slots.len();
-        *self.slot(next) = value;
-        self.current.store(next, Ordering::Release);
+    /// Swaps `value` into the slot and returns the replaced value, so the
+    /// caller drops it after the slot lock is released. Caller must hold
+    /// the writer lock.
+    fn swap(&self, value: Arc<T>) -> Arc<T> {
+        std::mem::replace(&mut *lock(&self.slot), value)
     }
 }
 
@@ -208,8 +190,8 @@ impl KnowledgeGraph {
 /// The writer keeps a private [`KnowledgeGraph`], mutates it freely
 /// (weights only — topology is fixed), and calls [`Self::publish`] at
 /// consistency points (end of an optimization batch). Readers call
-/// [`Self::snapshot`] and evaluate against the frozen graph; they never
-/// block the writer and the writer never blocks them.
+/// [`Self::snapshot`] and evaluate against the frozen graph; a read
+/// waits at most for one pointer swap, and never blocks the writer.
 ///
 /// One `SharedGraph` follows one graph lineage: publish only descendants
 /// (clones continue the version lineage) of the graph it was created
@@ -227,8 +209,8 @@ impl SharedGraph {
         }
     }
 
-    /// The latest published snapshot. Wait-free with respect to
-    /// publishers (see [`ArcCell::load`]).
+    /// The latest published snapshot. Waits at most for one pointer
+    /// swap (see [`ArcCell::load`]).
     pub fn snapshot(&self) -> GraphSnapshot {
         GraphSnapshot::from_arc(self.cell.load())
     }
@@ -244,8 +226,16 @@ impl SharedGraph {
     /// epoch immediately.
     pub fn publish(&self, graph: &KnowledgeGraph) -> GraphSnapshot {
         let snap = graph.publish();
-        self.cell.store(snap.as_arc().clone());
+        self.store(&snap);
         snap
+    }
+
+    /// Makes `snap`, frozen earlier by [`KnowledgeGraph::publish`], the
+    /// published snapshot. Lets a writer prepare state derived from the
+    /// snapshot (a serving cache moved to its epoch) before any reader
+    /// can see it.
+    pub fn store(&self, snap: &GraphSnapshot) {
+        self.cell.store(Arc::clone(snap.as_arc()));
     }
 }
 
@@ -311,6 +301,25 @@ mod tests {
             cell.store(Arc::new(v));
             assert_eq!(*cell.load(), v);
         }
+    }
+
+    #[test]
+    fn arc_cell_frees_a_replaced_value_once_no_reader_holds_it() {
+        let first = Arc::new(1u64);
+        let weak = Arc::downgrade(&first);
+        let cell = ArcCell::new(first);
+        let reader = cell.load();
+        cell.store(Arc::new(2));
+        assert!(weak.upgrade().is_some(), "a reader still holds it");
+        drop(reader);
+        assert!(weak.upgrade().is_none(), "the cell kept a stale value");
+
+        let second = cell.load();
+        let weak = Arc::downgrade(&second);
+        drop(second);
+        assert!(cell.update(|v| Some(Arc::new(v + 1))));
+        assert!(weak.upgrade().is_none(), "update kept a stale value");
+        assert_eq!(*cell.load(), 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * `version()` is monotone non-decreasing under every operation —
 //!   including `WeightSnapshot::restore`, which rolls weights *back* but
 //!   must still move the version *forward* (the serving layer's
-//!   forward-only shard caches depend on this).
+//!   forward-only ranking cache depends on this).
 //! * `changes_since(v)` is complete: every edge whose weight differs
 //!   from its value at version `v` appears in the delta.
 //! * Published [`GraphSnapshot`]s are frozen: later mutations of the

@@ -1,42 +1,45 @@
-//! Lock-free snapshot serving: concurrent reads under live optimization.
+//! Snapshot serving: concurrent reads under live optimization.
 //!
 //! [`SnapshotServer`] is the serving layer's one ranking cache:
 //!
 //! * Readers rank against an immutable, epoch-stamped
 //!   [`GraphSnapshot`](kg_graph::GraphSnapshot); the writer mutates a
 //!   private graph and publishes via
-//!   [`SharedGraph::publish`](kg_graph::SharedGraph::publish), an atomic
-//!   pointer swap that never blocks readers.
-//! * The ranking cache is split into shards, each an immutable
-//!   [`ShardCache`] behind an [`ArcCell`](kg_graph::ArcCell). The read
-//!   fast path is: load the snapshot, load the shard, hash-lookup, copy
-//!   the ranking out — no lock anywhere, and wait-free with respect to
-//!   writers (an in-flight publish never makes a reader spin or retry).
-//! * Cache maintenance is RCU: syncs and miss-fills build a *new* shard
-//!   map and publish it with [`ArcCell::update`](kg_graph::ArcCell);
-//!   concurrent readers keep the old one until their next load.
+//!   [`SharedGraph::publish`](kg_graph::SharedGraph::publish), a pointer
+//!   swap in an [`ArcCell`](kg_graph::ArcCell).
+//! * The whole cache is one immutable state behind an `ArcCell`: the
+//!   epoch every entry is valid for, and the entries split over a fixed
+//!   number of small maps. The read fast path is: load the snapshot,
+//!   load the cache, hash-lookup, copy the ranking out. Each load waits
+//!   at most for one pointer swap; no reader ever waits for a writer's
+//!   work.
+//! * Cache maintenance is RCU: [`SnapshotServer::advance`] and miss-fills
+//!   build a *new* state and publish it with
+//!   [`ArcCell::update`](kg_graph::ArcCell); a fill clones only the maps
+//!   it touches, and concurrent readers keep the old state until their
+//!   next load.
 //!
 //! Coherence does not depend on winning races. A cached ranking is served
-//! only when its shard's epoch equals the epoch of the snapshot being
+//! only when the cache's epoch equals the epoch of the snapshot being
 //! ranked against, and within one graph lineage equal epochs imply
 //! identical weights (every effective change bumps the version). A lost
 //! cache update therefore costs a recomputation, never a wrong answer —
 //! the stress suite in `tests/concurrent_serving.rs` checks every result
 //! byte-for-byte against an uncached evaluation at its reported epoch.
 //!
-//! A sync evicts exactly the cached queries that
-//! [`kg_sim::affected_queries`] proves reachable from the changed edges;
-//! the next read of an evicted query recomputes it on a warm
-//! [`kg_sim::PhiWorkspace`]. The changed-edge extraction is memoized
-//! across shards: the first shard syncing over an epoch transition pays
-//! the `O(|E|)` scan, the rest reuse the shared [`WeightDelta`].
+//! One advance per publish moves the cache forward: one
+//! [`changes_since`](kg_graph::KnowledgeGraph::changes_since), one
+//! [`kg_sim::affected_queries`] over every cached query, one republish
+//! that evicts exactly the queries the changed edges can reach. The next
+//! read of an evicted query recomputes it on a warm
+//! [`kg_sim::PhiWorkspace`].
 
 use crate::stats::{ServeStats, SharedServeStats};
-use kg_graph::{ArcCell, GraphSnapshot, NodeId, SharedGraph, WeightDelta};
+use kg_graph::{ArcCell, GraphSnapshot, NodeId, SharedGraph};
 use kg_sim::{
     affected_queries, rank_many, with_local_workspace, BatchQuery, RankedAnswer, SimilarityConfig,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of a [`SnapshotServer`].
@@ -49,10 +52,6 @@ pub struct ServeConfig {
     /// Worker threads for batch misses; `1` evaluates inline on the
     /// calling thread. Results are identical for any value.
     pub workers: usize,
-    /// Cache shards. More shards mean less publish contention between
-    /// concurrent miss-fills at a small per-sync cost; results are
-    /// identical for any value `>= 1` (`0` is treated as `1`).
-    pub shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -60,9 +59,19 @@ impl Default for ServeConfig {
         ServeConfig {
             sim: SimilarityConfig::default(),
             workers: 1,
-            shards: 16,
         }
     }
+}
+
+/// Number of maps the cached entries are split over, so a miss-fill
+/// clones one small map instead of every entry's key.
+const MAPS: usize = 16;
+
+/// The map a query's entry lives in. Fibonacci hashing spreads
+/// consecutive node ids across maps.
+fn map_of(query: NodeId) -> usize {
+    let h = (query.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h >> 32) as usize % MAPS
 }
 
 #[derive(Debug)]
@@ -74,31 +83,38 @@ struct CacheEntry {
     ranking: Vec<RankedAnswer>,
 }
 
-/// One cache shard: immutable once published. Entries are `Arc`-shared so
-/// republishing a shard with one entry added or removed clones only the
-/// map skeleton, not the rankings.
+/// The cache's one published state, immutable once published. Maps and
+/// entries are `Arc`-shared, so a republish with entries added or removed
+/// clones only the maps it touches, and never a ranking.
 #[derive(Debug, Clone, Default)]
-struct ShardCache {
-    /// Snapshot epoch every entry in this shard is valid for.
+struct CacheState {
+    /// Snapshot epoch every entry is valid for.
     epoch: u64,
-    entries: HashMap<NodeId, Arc<CacheEntry>>,
+    maps: [Arc<HashMap<NodeId, Arc<CacheEntry>>>; MAPS],
 }
 
-/// A sharded, multi-reader ranking cache over published
-/// [`GraphSnapshot`]s.
+impl CacheState {
+    fn get(&self, query: NodeId) -> Option<&Arc<CacheEntry>> {
+        self.maps[map_of(query)].get(&query)
+    }
+}
+
+/// A multi-reader ranking cache over published [`GraphSnapshot`]s.
 ///
 /// Shared by reference (`&self` everywhere): wrap it in an [`Arc`] and
-/// hand clones to any number of reader threads. Each shard is keyed by
-/// the snapshot epoch it was validated against; a reader that arrives
-/// with a newer snapshot migrates the shard first —
+/// hand clones to any number of reader threads. The cache is stamped with
+/// the snapshot epoch its entries are valid for. [`Self::advance`] moves
+/// it to a newer snapshot —
 /// [`changes_since`](kg_graph::KnowledgeGraph::changes_since) pulls the
 /// edges that moved, [`kg_sim::affected_queries`] proves which cached
-/// queries they can reach, and only those are dropped.
+/// queries they can reach, and only those are dropped. A writer calls it
+/// once per publish, before readers can see the new snapshot; a reader
+/// that arrives with a newer snapshot than the cache calls it itself.
 ///
-/// Shards only ever move *forward*: a reader still holding an older
+/// The cache only ever moves *forward*: a reader still holding an older
 /// snapshot while newer ones are being published — the normal case under
 /// live optimization — is served by direct evaluation of its snapshot
-/// (a miss, never cached) instead of rewinding the shard and thrashing
+/// (a miss, never cached) instead of rewinding the cache and thrashing
 /// every newer reader's entries. Consequently, binding the server to a
 /// graph from a *different lineage* (a reload, a fresh build — epochs
 /// restart) keeps results correct but permanently bypasses the cache;
@@ -131,31 +147,17 @@ struct ShardCache {
 /// assert_eq!(server.stats().hits, 1);
 ///
 /// g.set_weight(e1, 0.1).unwrap(); // optimizer demotes a1
-/// let after = server.rank_at(&g.publish(), q, &[a1, a2], 2); // evicted, recomputed
-/// assert_eq!(after[0].node, a2);
+/// let next = g.publish();
+/// server.advance(&next); // the writer moves the cache: q is evicted
 /// assert_eq!(server.stats().invalidated, 1);
+/// let after = server.rank_at(&next, q, &[a1, a2], 2); // recomputed
+/// assert_eq!(after[0].node, a2);
 /// ```
 #[derive(Debug)]
 pub struct SnapshotServer {
     cfg: ServeConfig,
-    shards: Box<[ArcCell<ShardCache>]>,
+    cache: ArcCell<CacheState>,
     stats: SharedServeStats,
-    /// Last changed-edge extraction, shared across shards: every shard
-    /// syncing over the same `(from, to]` epoch transition reuses one
-    /// `changes_since` scan instead of paying `O(|E|)` each. Last writer
-    /// wins; a lost race costs a redundant scan, never a wrong delta
-    /// (the interval is part of the key, see [`WeightDelta::covers`]).
-    delta_memo: ArcCell<WeightDelta>,
-}
-
-/// A memo value that can never satisfy [`WeightDelta::covers`] — real
-/// sync intervals `(from, to]` always have `from < to`.
-fn empty_memo() -> Arc<WeightDelta> {
-    Arc::new(WeightDelta {
-        from_version: u64::MAX,
-        to_version: u64::MAX,
-        edges: Vec::new(),
-    })
 }
 
 impl Default for SnapshotServer {
@@ -165,19 +167,12 @@ impl Default for SnapshotServer {
 }
 
 impl SnapshotServer {
-    /// Creates an empty server with the given configuration
-    /// (`cfg.shards` cache shards; `0` is treated as `1`).
+    /// Creates an empty server with the given configuration.
     pub fn new(cfg: ServeConfig) -> Self {
-        let n = cfg.shards.max(1);
-        let shards = (0..n)
-            .map(|_| ArcCell::new(Arc::new(ShardCache::default())))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         SnapshotServer {
             cfg,
-            shards,
+            cache: ArcCell::new(Arc::default()),
             stats: SharedServeStats::default(),
-            delta_memo: ArcCell::new(empty_memo()),
         }
     }
 
@@ -192,137 +187,93 @@ impl SnapshotServer {
         self.stats.snapshot()
     }
 
-    /// Number of queries currently cached across all shards.
+    /// Number of queries currently cached.
     pub fn cached_queries(&self) -> usize {
-        self.shards.iter().map(|s| s.load().entries.len()).sum()
+        self.cache.load().maps.iter().map(|m| m.len()).sum()
     }
 
-    /// Drops every cached ranking and rewinds every shard to epoch 0, so
-    /// the cache can re-attach to a new graph lineage (counted as one
-    /// full clear; request stats are kept).
+    /// Drops every cached ranking and rewinds the cache to epoch 0, so it
+    /// can re-attach to a new graph lineage (counted as one full clear;
+    /// request stats are kept).
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.store(Arc::new(ShardCache::default()));
-        }
-        // The memo is keyed by version interval only; a new lineage
-        // restarts versions, so a stale memo could alias its intervals.
-        self.delta_memo.store(empty_memo());
+        self.cache.store(Arc::default());
         self.stats.full_clear();
         if kg_telemetry::is_enabled() {
             kg_telemetry::counter("votekg.serve.full_clears").incr();
         }
     }
 
-    fn shard_for(&self, query: NodeId) -> &ArcCell<ShardCache> {
-        // Fibonacci hashing spreads consecutive node ids across shards.
-        let h = (query.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
-    }
-
-    /// The changed-edge set covering `(from, snap.epoch()]`, shared
-    /// across shards: a memo hit skips the `O(|E|)` stamp scan entirely.
-    /// Computed outside any shard lock; concurrent callers over different
-    /// intervals overwrite each other (last writer wins), which only
-    /// costs the loser's scan.
-    fn shared_delta(&self, snap: &GraphSnapshot, from: u64) -> Arc<WeightDelta> {
-        let memo = self.delta_memo.load();
-        if memo.covers(from, snap.epoch()) {
-            if kg_telemetry::is_enabled() {
-                kg_telemetry::counter("votekg.serve.delta_memo_hits").incr();
-            }
-            return memo;
-        }
-        let delta = Arc::new(snap.changes_since(from));
-        self.delta_memo.store(Arc::clone(&delta));
-        delta
-    }
-
-    /// Migrates one shard *forward* to `snap`'s epoch, evicting exactly
-    /// the entries the intervening weight changes can affect (RCU
-    /// republish; a no-op if another thread already migrated it at least
-    /// that far — shards never move backwards).
-    fn sync_shard(&self, cell: &ArcCell<ShardCache>, snap: &GraphSnapshot) {
+    /// Moves the cache *forward* to `snap`'s epoch, evicting exactly the
+    /// cached queries the intervening weight changes can reach: one
+    /// `changes_since`, one `affected_queries` over every cached query,
+    /// one republish. A no-op when the cache is already at that epoch or
+    /// beyond — the cache never moves backwards.
+    ///
+    /// A writer calls this once per publish, before the new snapshot
+    /// becomes visible, so its readers never pay for it. Reads call it
+    /// too, when they hold a newer snapshot than the cache.
+    pub fn advance(&self, snap: &GraphSnapshot) {
         let target = snap.epoch();
-        cell.update(|cache| {
+        self.cache.update(|cache| {
             if cache.epoch >= target {
-                return None; // lost the race to another reader — fine
+                return None; // already there, e.g. moved by another reader
             }
-            let mut span = kg_telemetry::span!("votekg.serve.shard_sync", {
+            let mut span = kg_telemetry::span!("votekg.serve.advance", {
                 from_epoch: cache.epoch,
                 to_epoch: target,
             });
-            let next = if cache.entries.is_empty() {
-                ShardCache {
-                    epoch: target,
-                    entries: HashMap::new(),
-                }
-            } else {
-                let delta = self.shared_delta(snap, cache.epoch);
-                if delta.is_empty() {
-                    ShardCache {
-                        epoch: target,
-                        entries: cache.entries.clone(),
-                    }
-                } else {
-                    self.stats.dirty_sync();
-                    let cached: Vec<NodeId> = cache.entries.keys().copied().collect();
-                    let affected: HashSet<NodeId> =
-                        affected_queries(snap, &delta.edges, &cached, &self.cfg.sim)
-                            .into_iter()
-                            .collect();
-                    let mut entries: HashMap<NodeId, Arc<CacheEntry>> =
-                        HashMap::with_capacity(cache.entries.len());
-                    entries.extend(
-                        cache
-                            .entries
-                            .iter()
-                            .filter(|(q, _)| !affected.contains(q))
-                            .map(|(q, e)| (*q, Arc::clone(e))),
-                    );
-                    let evicted = affected.len();
-                    let retained = entries.len();
-                    self.stats.invalidated(evicted as u64);
-                    self.stats.retained(retained as u64);
-                    span.field("changed_edges", delta.len());
-                    span.field("invalidated", evicted);
-                    span.field("retained", retained);
-                    if kg_telemetry::is_enabled() {
-                        kg_telemetry::counter("votekg.serve.invalidations").add(evicted as u64);
-                        kg_telemetry::counter("votekg.serve.retained").add(retained as u64);
-                        kg_telemetry::histogram("votekg.serve.delta_edges")
-                            .record(delta.len() as u64);
-                    }
-                    ShardCache {
-                        epoch: target,
-                        entries,
-                    }
-                }
+            let mut next = CacheState {
+                epoch: target,
+                maps: cache.maps.clone(),
             };
+            let cached: Vec<NodeId> = cache.maps.iter().flat_map(|m| m.keys().copied()).collect();
+            if cached.is_empty() {
+                return Some(Arc::new(next));
+            }
+            let delta = snap.changes_since(cache.epoch);
+            if delta.is_empty() {
+                return Some(Arc::new(next));
+            }
+            self.stats.dirty_sync();
+            let affected = affected_queries(snap, &delta.edges, &cached, &self.cfg.sim);
+            for &q in &affected {
+                Arc::make_mut(&mut next.maps[map_of(q)]).remove(&q);
+            }
+            let evicted = affected.len();
+            let retained = cached.len() - evicted;
+            self.stats.invalidated(evicted as u64);
+            self.stats.retained(retained as u64);
+            span.field("changed_edges", delta.len());
+            span.field("invalidated", evicted);
+            span.field("retained", retained);
+            if kg_telemetry::is_enabled() {
+                kg_telemetry::counter("votekg.serve.invalidations").add(evicted as u64);
+                kg_telemetry::counter("votekg.serve.retained").add(retained as u64);
+                kg_telemetry::histogram("votekg.serve.delta_edges").record(delta.len() as u64);
+            }
             Some(Arc::new(next))
         });
     }
 
-    /// Loads `query`'s shard, migrating it forward to `snap`'s epoch
-    /// first when it lags. The returned cache can still be *ahead* of
-    /// `snap` (the caller holds an old snapshot, or a concurrent reader
-    /// raced the shard further forward) — callers must re-check the epoch
+    /// Loads the cache, advancing it to `snap`'s epoch first when it
+    /// lags. The returned cache can still be *ahead* of `snap` (the
+    /// caller holds an old snapshot) — callers must re-check the epoch
     /// before serving from it.
-    fn shard_at(&self, cell: &ArcCell<ShardCache>, snap: &GraphSnapshot) -> Arc<ShardCache> {
-        let cache = cell.load();
+    fn cache_at(&self, snap: &GraphSnapshot) -> Arc<CacheState> {
+        let cache = self.cache.load();
         if cache.epoch >= snap.epoch() {
-            cache
-        } else {
-            self.sync_shard(cell, snap);
-            cell.load()
+            return cache;
         }
+        self.advance(snap);
+        self.cache.load()
     }
 
     /// Ranks `answers` for `query` against `snap`, serving from cache
     /// when possible. Output is always identical to
     /// `kg_sim::rank_answers(&snap, query, answers, &cfg.sim, k)`.
     ///
-    /// The cache-hit path takes no lock and is wait-free with respect to
-    /// concurrent publishers and miss-fills.
+    /// A cache hit is one cache load and one hash lookup; it waits at
+    /// most for one pointer swap of a concurrent publish or miss-fill.
     pub fn rank_at(
         &self,
         snap: &GraphSnapshot,
@@ -331,10 +282,9 @@ impl SnapshotServer {
         k: usize,
     ) -> Vec<RankedAnswer> {
         let epoch = snap.epoch();
-        let cell = self.shard_for(query);
-        let cache = self.shard_at(cell, snap);
+        let cache = self.cache_at(snap);
         if cache.epoch == epoch {
-            if let Some(entry) = cache.entries.get(&query) {
+            if let Some(entry) = cache.get(query) {
                 if entry.answers == answers {
                     self.stats.hit();
                     if kg_telemetry::is_enabled() {
@@ -360,44 +310,41 @@ impl SnapshotServer {
             );
         });
         let out = full.iter().take(k).copied().collect();
-        self.install(cell, epoch, query, answers.to_vec(), full);
+        self.install(epoch, [(query, answers.to_vec(), full)]);
         out
     }
 
-    /// Publishes a freshly computed ranking into its shard — but only if
-    /// the shard is still at the epoch it was computed for. A shard that
-    /// moved on (newer snapshot published meanwhile) silently drops the
-    /// fill: inserting would poison a newer-epoch cache, and the entry
-    /// was about to be invalidated anyway.
+    /// Publishes freshly computed rankings in one republish — but only if
+    /// the cache is still at the epoch they were computed for. A cache
+    /// that moved on (newer snapshot published meanwhile) silently drops
+    /// the fills: inserting would poison a newer-epoch cache, and the
+    /// entries were about to be invalidated anyway. Later fills of the
+    /// same query win.
     fn install(
         &self,
-        cell: &ArcCell<ShardCache>,
         epoch: u64,
-        query: NodeId,
-        answers: Vec<NodeId>,
-        ranking: Vec<RankedAnswer>,
+        fills: impl IntoIterator<Item = (NodeId, Vec<NodeId>, Vec<RankedAnswer>)>,
     ) {
-        let entry = Arc::new(CacheEntry { answers, ranking });
-        cell.update(|cache| {
+        self.cache.update(|cache| {
             if cache.epoch != epoch {
                 return None;
             }
-            let mut next = ShardCache {
-                epoch: cache.epoch,
-                entries: cache.entries.clone(),
-            };
-            next.entries.insert(query, entry);
+            let mut next = cache.clone();
+            for (query, answers, ranking) in fills {
+                Arc::make_mut(&mut next.maps[map_of(query)])
+                    .insert(query, Arc::new(CacheEntry { answers, ranking }));
+            }
             Some(Arc::new(next))
         });
     }
 
     /// Ranks a whole batch against `snap`, evaluating cache misses in
-    /// parallel over the configured worker count. Results are in request
-    /// order and per-request identical to [`Self::rank_at`]. Duplicate
-    /// queries within one batch are deduplicated: the first occurrence
-    /// computes, an identical repeat is a hit, and a repeat with a
-    /// different answer list is computed separately (the last one wins
-    /// the cache slot).
+    /// parallel over the configured worker count and installing them in
+    /// one republish. Results are in request order and per-request
+    /// identical to [`Self::rank_at`]. Duplicate queries within one
+    /// batch are deduplicated: the first occurrence computes, an
+    /// identical repeat is a hit, and a repeat with a different answer
+    /// list is computed separately (the last one wins the cache slot).
     pub fn rank_batch_at(
         &self,
         snap: &GraphSnapshot,
@@ -414,14 +361,13 @@ impl SnapshotServer {
             /// Index into the computed-miss results.
             Computed(usize),
         }
+        let cache = self.cache_at(snap);
         let mut sources: Vec<Source> = Vec::with_capacity(requests.len());
         let mut miss_requests: Vec<BatchQuery<'_>> = Vec::new();
         let mut miss_index: HashMap<NodeId, usize> = HashMap::new();
         for req in requests {
-            let cell = self.shard_for(req.query);
-            let cache = self.shard_at(cell, snap);
             let entry = (cache.epoch == epoch)
-                .then(|| cache.entries.get(&req.query))
+                .then(|| cache.get(req.query))
                 .flatten()
                 .filter(|e| e.answers == req.answers);
             if let Some(e) = entry {
@@ -456,13 +402,13 @@ impl SnapshotServer {
             kg_telemetry::histogram("votekg.serve.batch_misses").record(miss_requests.len() as u64);
         }
         let computed = rank_many(snap, &miss_requests, &self.cfg.sim, self.cfg.workers);
-        for (req, ranking) in miss_requests.iter().zip(&computed) {
+        if !computed.is_empty() {
             self.install(
-                self.shard_for(req.query),
                 epoch,
-                req.query,
-                req.answers.to_vec(),
-                ranking.clone(),
+                miss_requests
+                    .iter()
+                    .zip(&computed)
+                    .map(|(req, ranking)| (req.query, req.answers.to_vec(), ranking.clone())),
             );
         }
         sources
@@ -620,38 +566,36 @@ mod tests {
         assert_eq!(s.cached_queries(), 2);
     }
 
-    /// Two shards syncing over the same epoch transition must share one
-    /// `changes_since` extraction through the cross-shard memo.
+    /// One publish whose changed edges reach cached queries in different
+    /// maps is one advance: one dirty sync, however many maps it touches
+    /// and however many readers arrive with the new snapshot.
     #[test]
-    fn shards_share_one_delta_extraction() {
-        kg_telemetry::enable();
+    fn one_publish_is_one_dirty_sync_across_maps() {
         let (mut g, queries, answers, hub_edges) = two_regions();
-        // Enough shards that the two queries land in different ones.
-        let s = SnapshotServer::new(ServeConfig {
-            shards: 16,
-            ..Default::default()
-        });
+        assert_ne!(map_of(queries[0]), map_of(queries[1]));
+        let s = SnapshotServer::default();
         let snap = g.publish();
         s.rank_at(&snap, queries[0], &answers[0], 2);
         s.rank_at(&snap, queries[1], &answers[1], 2);
         g.set_weight(hub_edges[0], 0.2).unwrap();
         g.set_weight(hub_edges[1], 0.4).unwrap();
         let snap2 = g.publish();
-        let before = kg_telemetry::Snapshot::capture();
         s.rank_at(&snap2, queries[0], &answers[0], 2);
         s.rank_at(&snap2, queries[1], &answers[1], 2);
-        let after = kg_telemetry::Snapshot::capture();
-        let hits = |snap: &kg_telemetry::Snapshot| {
-            snap.counters
-                .iter()
-                .find(|(k, _)| k == "votekg.serve.delta_memo_hits")
-                .map_or(0, |(_, v)| *v)
-        };
-        assert!(
-            hits(&after) > hits(&before),
-            "second shard's sync must hit the delta memo"
-        );
-        assert_eq!(s.stats().invalidated, 2, "both entries evicted");
+        let stats = s.stats();
+        assert_eq!(stats.dirty_syncs, 1, "one advance for the publish");
+        assert_eq!(stats.invalidated, 2, "both entries evicted");
+        assert_eq!(stats.misses, 4);
+        // A writer-side advance leaves nothing for the readers to do.
+        g.set_weight(hub_edges[0], 0.6).unwrap();
+        let snap3 = g.publish();
+        s.advance(&snap3);
+        assert_eq!(s.stats().dirty_syncs, 2);
+        assert_eq!(s.stats().invalidated, 3, "only q0 is reachable");
+        s.rank_at(&snap3, queries[0], &answers[0], 2);
+        s.rank_at(&snap3, queries[1], &answers[1], 2);
+        assert_eq!(s.stats().dirty_syncs, 2, "readers never sync");
+        assert_eq!(s.stats().hits, 1, "q1 survived the advance");
     }
 
     #[test]
@@ -678,7 +622,7 @@ mod tests {
         let newer = s.rank_at(&snap, queries[0], &answers[0], 2);
         // A fresh build of the same topology restarts at epoch 0: an
         // unknown lineage. Results stay correct (direct evaluation), the
-        // shard is not rewound, and nothing of the old cache is served.
+        // cache is not rewound, and nothing of the old cache is served.
         let (g2, _, _, _) = two_regions();
         let snap2 = g2.publish();
         assert!(snap2.epoch() < snap.epoch());
@@ -737,19 +681,16 @@ mod tests {
     }
 
     #[test]
-    fn stale_miss_fill_does_not_poison_a_newer_shard() {
+    fn stale_miss_fill_does_not_poison_a_newer_cache() {
         let (mut g, queries, answers, hub_edges) = two_regions();
-        let s = SnapshotServer::new(ServeConfig {
-            shards: 1, // force both epochs through the same shard
-            ..Default::default()
-        });
+        let s = SnapshotServer::default();
         let old_snap = g.publish();
         g.set_weight(hub_edges[0], 0.05).unwrap();
         let new_snap = g.publish();
-        // A reader on the *new* snapshot migrates the shard forward...
+        // A reader on the *new* snapshot moves the cache forward...
         let new_r = s.rank_at(&new_snap, queries[0], &answers[0], 2);
         // ...then a straggler still holding the old snapshot computes.
-        // Its fill must be dropped, not inserted into the newer shard.
+        // Its fill must be dropped, not inserted into the newer cache.
         let old_r = s.rank_at(&old_snap, queries[0], &answers[0], 2);
         let cfg = s.config().sim;
         assert_eq!(
@@ -757,7 +698,7 @@ mod tests {
             rank_answers(&old_snap, queries[0], &answers[0], &cfg, 2)
         );
         assert_ne!(old_r, new_r, "the weight change must reorder the answers");
-        // The shard still serves the new snapshot's ranking, not the
+        // The cache still serves the new snapshot's ranking, not the
         // straggler's.
         assert_eq!(s.rank_at(&new_snap, queries[0], &answers[0], 2), new_r);
         assert_eq!(s.stats().hits, 1);
@@ -771,10 +712,7 @@ mod tests {
     fn concurrent_readers_stay_coherent_under_publishing() {
         let (g, queries, answers, hub_edges) = two_regions();
         let shared = Arc::new(SharedGraph::new(g.clone()));
-        let server = Arc::new(SnapshotServer::new(ServeConfig {
-            shards: 2,
-            ..Default::default()
-        }));
+        let server = Arc::new(SnapshotServer::default());
         let handle = ServeHandle::new(shared.clone(), server);
         let cfg = handle.server().config().sim;
 
@@ -799,11 +737,17 @@ mod tests {
                     }
                 });
             }
+            // Odd rounds move the cache on the writer before the publish
+            // (as the framework does); even rounds leave it to readers.
             let mut writer_graph = g.clone();
             for i in 0..100 {
                 let w = 0.05 + 0.9 * ((i % 10) as f64) / 10.0;
                 writer_graph.set_weight(hub_edges[i % 2], w).unwrap();
-                shared.publish(&writer_graph);
+                let snap = writer_graph.publish();
+                if i % 2 == 1 {
+                    handle.server().advance(&snap);
+                }
+                shared.store(&snap);
             }
         });
 

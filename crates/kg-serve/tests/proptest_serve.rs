@@ -1,5 +1,6 @@
 //! Cache-coherence property: under *arbitrary* interleavings of weight
-//! mutations, publishes, weight-snapshot captures and restores, lookups
+//! mutations, publishes (the cache moved by the writer at publish, or
+//! left to the next reader), weight-snapshot captures and restores, lookups
 //! against the latest or an older published snapshot, batched lookups,
 //! and cache clears, a [`SnapshotServer`]'s output is bit-identical
 //! (`f64::to_bits`) to an uncached [`kg_sim::rank_answers`] evaluation of
@@ -87,7 +88,9 @@ fn bits_equal(served: &[RankedAnswer], oracle: &[RankedAnswer]) -> Result<(), St
 /// `2` → rank against the latest snapshot, `3` → batch rank against it,
 /// `4` → capture the writer's weights, `5` → restore the captured
 /// weights and publish (the version moves forward), `6` → rank against
-/// an older published snapshot, `7` → clear the cache.
+/// an older published snapshot, `7` → clear the cache, `8` → publish
+/// the way the framework's writer does: advance the cache to the new
+/// snapshot first (`1` leaves the advance to the next reader).
 type Op = (u8, u8, f64, u8);
 
 fn arb_scenario() -> impl Strategy<Value = (Vec<(u8, u8, f64)>, Vec<Op>)> {
@@ -100,7 +103,7 @@ fn arb_scenario() -> impl Strategy<Value = (Vec<(u8, u8, f64)>, Vec<Op>)> {
             ),
             0..60,
         ),
-        proptest::collection::vec((0u8..8, 0u8..64, 0.05f64..1.0, 1u8..6), 1..48),
+        proptest::collection::vec((0u8..9, 0u8..64, 0.05f64..1.0, 1u8..6), 1..48),
     )
 }
 
@@ -113,11 +116,7 @@ proptest! {
     ) {
         let (mut graph, queries, answers) = build_graph(&edge_picks);
         let sim = SimilarityConfig::default();
-        let server = SnapshotServer::new(ServeConfig {
-            sim,
-            workers: 2,
-            shards: 4,
-        });
+        let server = SnapshotServer::new(ServeConfig { sim, workers: 2 });
         let edge_ids: Vec<EdgeId> = graph.edges().map(|e| e.edge).collect();
         // Every snapshot published so far, oldest first; the last one is
         // the latest.
@@ -172,7 +171,12 @@ proptest! {
                         bits_equal(&got, &want).unwrap_err());
                     rank_ops += 1;
                 }
-                _ => server.clear(),
+                7 => server.clear(),
+                _ => {
+                    let snap = graph.publish();
+                    server.advance(&snap);
+                    published.push(snap);
+                }
             }
         }
         // Every rank op is accounted for as exactly one hit or one miss.

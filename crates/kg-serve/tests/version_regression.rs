@@ -1,7 +1,7 @@
-//! Version-regression coherence under the snapshot rules: shards only
-//! ever move forward, so a snapshot from an *older lineage* (a reload or
+//! Version-regression coherence under the snapshot rules: the cache only
+//! ever moves forward, so a snapshot from an *older lineage* (a reload or
 //! a fresh build — epochs restart) is served by direct evaluation without
-//! rewinding any shard, until [`SnapshotServer::clear`] re-attaches the
+//! rewinding the cache, until [`SnapshotServer::clear`] re-attaches the
 //! cache; and a weight-snapshot restore on the same graph (the version
 //! moves forward) is invalidated through the changed-edge path, without
 //! a full clear. In every case each ranking served must be bit-identical
@@ -63,8 +63,8 @@ fn older_lineage_is_served_uncached_until_clear() {
     graph.set_weight(EdgeId(4), 0.05).unwrap();
     let newer = graph.publish();
     // A fresh build of the same topology with different weights: its
-    // epochs restart, so it sits behind every shard the newer lineage
-    // has reached.
+    // epochs restart, so it sits behind the epoch the newer lineage
+    // moved the cache to.
     let (mut other, _, _) = scene();
     other.set_weight(EdgeId(1), 0.6).unwrap();
     let older = other.publish();
@@ -75,7 +75,7 @@ fn older_lineage_is_served_uncached_until_clear() {
     assert_eq!(server.cached_queries(), 1);
 
     // The older lineage is evaluated directly: never cached, never a
-    // hit, and the shard is not rewound.
+    // hit, and the cache is not rewound.
     for round in 0..2 {
         assert_matches_oracle(&server, &older, q, &answers, "older lineage");
         assert_eq!(server.stats().hits, 0, "round {round}");

@@ -72,9 +72,12 @@ struct HttpConn {
     recv: RecvBuf<TcpStream>,
 }
 
-/// A keep-alive HTTP/1.1 client. Reconnects transparently (once per
-/// request) when the server closed an idle keep-alive connection —
-/// `reconnects` counts how often.
+/// A keep-alive HTTP/1.1 client. When a reused keep-alive connection
+/// turns out dead (the server closed it while idle), a read — `GET`,
+/// `POST /rank`, `POST /rank_batch` — is re-sent once on a fresh
+/// connection; `reconnects` counts how often. Any other request returns
+/// the error: the server may have acted on it before the connection died
+/// (a vote fsynced, its ack lost), so re-sending could apply it twice.
 pub struct HttpClient {
     addr: SocketAddr,
     timeout: Duration,
@@ -115,18 +118,21 @@ impl HttpClient {
         })
     }
 
-    /// Sends one request and reads the response, reconnecting once if
-    /// the reused keep-alive connection turned out dead.
+    /// Sends one request and reads the response. A read is re-sent once
+    /// if the reused keep-alive connection turned out dead; see the type
+    /// docs for why nothing else is.
     pub fn request(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> Result<HttpResponse, ClientError> {
-        let had_conn = self.conn.is_some();
+        let is_read =
+            method == "GET" || (method == "POST" && matches!(path, "/rank" | "/rank_batch"));
+        let may_resend = is_read && self.conn.is_some();
         match self.try_request(method, path, body) {
             Ok(resp) => Ok(resp),
-            Err(ClientError::Io(_)) if had_conn => {
+            Err(ClientError::Io(_)) if may_resend => {
                 // The server may have dropped the idle connection
                 // (timeout or drain); retry exactly once on a fresh one.
                 self.conn = None;
@@ -202,10 +208,13 @@ impl HttpClient {
 }
 
 /// Reads one HTTP/1.1 response (status line, headers, Content-Length
-/// body).
+/// body). A connection closed before the reply's first byte — the server
+/// dropped an idle keep-alive connection, or died after reading the
+/// request — is a [`ClientError::Io`] error; a reply cut short is a
+/// protocol error.
 fn read_http_response(recv: &mut RecvBuf<TcpStream>) -> Result<HttpResponse, ClientError> {
     let limits = Limits::default();
-    let status_line = recv.read_line(limits.max_line, false).map_err(wire_err)?;
+    let status_line = recv.read_line(limits.max_line, true).map_err(wire_err)?;
     let mut parts = status_line.splitn(3, ' ');
     let version = parts.next().unwrap_or("");
     if !version.starts_with("HTTP/1.") {
@@ -349,5 +358,75 @@ impl BinClient {
         let body = self.expect_ok(crate::protocol::op::STATS, &[])?;
         String::from_utf8(body)
             .map_err(|_| ClientError::Protocol("stats body is not UTF-8".to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Read};
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    /// A fake server that reads one request per connection and closes it
+    /// without replying: the server acted, the reply was lost. Returns the
+    /// request lines it read, once a connection closes without sending
+    /// anything.
+    fn mute_server() -> (SocketAddr, JoinHandle<Vec<String>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for stream in listener.incoming() {
+                let mut reader = BufReader::new(stream.unwrap());
+                let mut request_line = String::new();
+                if reader.read_line(&mut request_line).unwrap() == 0 {
+                    break;
+                }
+                let mut len = 0;
+                loop {
+                    let mut header = String::new();
+                    reader.read_line(&mut header).unwrap();
+                    let header = header.trim_end();
+                    if header.is_empty() {
+                        break;
+                    }
+                    if let Some((name, value)) = header.split_once(':') {
+                        if name.eq_ignore_ascii_case("content-length") {
+                            len = value.trim().parse().unwrap();
+                        }
+                    }
+                }
+                reader.read_exact(&mut vec![0; len]).unwrap();
+                seen.push(request_line.trim_end().to_string());
+            }
+            seen
+        });
+        (addr, fake)
+    }
+
+    fn stop(addr: SocketAddr, fake: JoinHandle<Vec<String>>) -> Vec<String> {
+        drop(TcpStream::connect(addr).unwrap());
+        fake.join().unwrap()
+    }
+
+    #[test]
+    fn a_vote_whose_reply_is_lost_is_sent_once() {
+        let (addr, fake) = mute_server();
+        let mut client = HttpClient::connect(addr).unwrap();
+        let sent = client.post_json("/vote", "{\"query\":0,\"answers\":[1,2],\"best\":2}");
+        assert!(matches!(sent, Err(ClientError::Io(_))), "{sent:?}");
+        assert_eq!(client.reconnects, 0);
+        assert_eq!(stop(addr, fake), ["POST /vote HTTP/1.1"]);
+    }
+
+    #[test]
+    fn a_read_whose_reply_is_lost_is_sent_again_once() {
+        let (addr, fake) = mute_server();
+        let mut client = HttpClient::connect(addr).unwrap();
+        let sent = client.get("/stats");
+        assert!(matches!(sent, Err(ClientError::Io(_))), "{sent:?}");
+        assert_eq!(client.reconnects, 1);
+        assert_eq!(stop(addr, fake), ["GET /stats HTTP/1.1"; 2]);
     }
 }

@@ -51,6 +51,22 @@ cargo test -q
 step "crate suites: cargo test --workspace --release --exclude votekg-suite"
 cargo test -q --workspace --release --exclude votekg-suite
 
+# Benchmark harness: perfbench is a package of its own (see
+# BENCHMARK.json), so the workspace steps above never compile it, and a
+# change to an API it builds against would first fail in a benchmark
+# run. Build it, run its self-tests, then run each workload for one
+# second, untraced and traced: perfbench exits 1 on any failed check or
+# determinism gate (one lookup per read, identical pass counters, a
+# replay that reproduces every round).
+step "perfbench: self-tests + 1 s run of each workload, untraced and traced"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in rank_hot feedback_loop; do
+    for trace in 0 1; do
+        cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace "$trace"
+    done
+done
+
 # Differential-fuzzing smoke: a short clean campaign over the solver
 # matrix (release binary — debug would dominate the gate's runtime).
 # Any divergence exits nonzero and leaves a replayable repro in the
@@ -102,8 +118,9 @@ target/release/server_load --clients 4 --requests 16 --opt-rounds 1 \
 # Lock-freedom gate: the snapshot-serving read path and the flight
 # recorder's event rings must stay free of blocking primitives. ArcCell
 # (kg-graph/src/shared.rs) is the one vetted exception and keeps its
-# slot ring out of these files; the recorder is seqlock-over-atomics by
-# design (hot-path writers must never block or wait on readers).
+# slot lock, held for one pointer swap, out of these files; the recorder
+# is seqlock-over-atomics by design (hot-path writers must never block
+# or wait on readers).
 step "lock-freedom gate: no Mutex/RwLock in kg-serve read path or recorder"
 LOCK_FREE_FILES=(crates/kg-serve/src/concurrent.rs crates/kg-telemetry/src/recorder.rs)
 # grep exits 0 on a match, 1 on none and 2 on an error such as a missing

@@ -200,21 +200,14 @@ fn rankings_are_independent_of_worker_count_and_cache_state() {
     }
 
     // Served evaluation: cold cache, then warm cache, across worker
-    // counts and shard counts — all byte-identical to the reference.
-    for (workers, shards) in [(1usize, 1usize), (2, 4), (8, 16)] {
+    // counts — all byte-identical to the reference.
+    for workers in [1usize, 2, 8] {
         let fw = Framework::new(study.deployed.clone(), FrameworkConfig::default())
-            .with_serve_workers(workers)
-            .with_serve_shards(shards);
+            .with_serve_workers(workers);
         let cold = bits(&fw.rank_batch(&requests));
         let warm = bits(&fw.rank_batch(&requests));
-        assert_eq!(
-            cold, reference,
-            "cold serve diverged ({workers}w/{shards}s)"
-        );
-        assert_eq!(
-            warm, reference,
-            "warm serve diverged ({workers}w/{shards}s)"
-        );
+        assert_eq!(cold, reference, "cold serve diverged ({workers} workers)");
+        assert_eq!(warm, reference, "warm serve diverged ({workers} workers)");
         let stats = fw.serve_stats();
         assert!(stats.hits > 0, "second batch should hit the cache");
     }
