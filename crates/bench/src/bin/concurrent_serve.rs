@@ -2,17 +2,16 @@
 //! incremental optimization, snapshot serving vs the old mutex path.
 //!
 //! Both arms process the *same* votes with the *same* incremental
-//! pipeline (arrival-order batches, delta-based re-ranking between
-//! batches) while `--readers` threads hammer rank requests the whole
-//! time:
+//! pipeline (arrival-order batches, each solved, then published with the
+//! cache advanced to the new snapshot) while `--readers` threads hammer
+//! rank requests the whole time:
 //!
 //! * **mutex** — the pre-snapshot architecture: one big lock around the
 //!   graph and its published snapshot, ranked through a
 //!   [`kg_serve::SnapshotServer`]. The writer holds the lock for each
-//!   batch's solve, publish and re-rank (a `&mut self` serving API
-//!   serializes exactly like this), and every reader takes it per
-//!   request, so reads stall for the whole round whenever one is being
-//!   solved.
+//!   batch's solve and publish (a `&mut self` serving API serializes
+//!   exactly like this), and every reader takes it per request, so reads
+//!   stall for the whole round whenever one is being solved.
 //! * **snapshot** — [`votekg::Framework::optimize_incremental`] publishes
 //!   epoch-stamped [`votekg::GraphSnapshot`]s; readers serve through a
 //!   cloned [`votekg::ServeHandle`] over the [`votekg::SnapshotServer`],
@@ -43,7 +42,7 @@ use kg_bench::{Args, Table};
 use kg_datasets::TWITTER;
 use kg_graph::{KnowledgeGraph, NodeId};
 use kg_serve::{ServeConfig, SnapshotServer};
-use kg_sim::{rank_answers, BatchQuery, SimilarityConfig};
+use kg_sim::{rank_answers, SimilarityConfig};
 use kg_votes::{solve_multi_votes, VoteSet};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -180,7 +179,7 @@ fn arm_out(
 }
 
 /// The old architecture: one lock serializes every reader against the
-/// writer's whole per-batch solve + re-rank.
+/// writer's whole per-batch solve + publish.
 fn run_mutex_arm(
     graph: &KnowledgeGraph,
     votes: &VoteSet,
@@ -232,23 +231,10 @@ fn run_mutex_arm(
         for chunk in votes.votes.chunks(batch) {
             let (ref mut graph, ref mut snap) = *shared.lock().unwrap();
             let round_start = epoch.elapsed().as_nanos() as u64;
-            let version_before = graph.version();
             solve_multi_votes(graph, &VoteSet::from_votes(chunk.to_vec()), &opts);
-            let delta = graph.changes_since(version_before);
-            if !delta.is_empty() {
+            if graph.version() != snap.epoch() {
                 *snap = graph.publish();
-                let qs: Vec<NodeId> = questions.iter().map(|(q, _)| *q).collect();
-                let affected = kg_sim::affected_queries(graph, &delta.edges, &qs, &sim);
-                let requests: Vec<BatchQuery<'_>> = questions
-                    .iter()
-                    .filter(|(q, _)| affected.contains(q))
-                    .map(|(q, answers)| BatchQuery {
-                        query: *q,
-                        answers,
-                        k: answers.len(),
-                    })
-                    .collect();
-                server.rank_batch_at(snap, &requests);
+                server.advance(snap);
             }
             intervals.push((round_start, epoch.elapsed().as_nanos() as u64));
         }

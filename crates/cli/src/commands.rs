@@ -2,14 +2,10 @@
 
 use crate::bundle::SystemBundle;
 use crate::error::CliError;
-use kg_cluster::{solve_split_merge, SplitMergeOptions};
 use kg_datasets::corpus_gen::{generate_corpus, CorpusGenConfig};
 use kg_qa::{Corpus, Document, QaSystem, QaSystemOptions, VocabularyOptions};
 use kg_sim::SimilarityConfig;
-use kg_votes::{
-    read_log, solve_multi_votes, solve_single_votes, write_log, MultiVoteOptions,
-    OptimizationReport, SingleVoteOptions, Vote, VoteSet,
-};
+use kg_votes::{read_log, write_log, OptimizationReport, Vote, VoteSet};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -240,7 +236,7 @@ fn read_log_lenient(r: impl std::io::Read, path: &Path) -> Result<VoteSet, CliEr
 /// `votekg optimize`: applies the vote log to the bundle's graph with the
 /// chosen strategy and persists the optimized bundle. `batch = 0` solves
 /// all votes at once; `batch = n > 0` runs the incremental pipeline in
-/// arrival-order batches of `n` with delta-based re-ranking in between.
+/// arrival-order batches of `n`, one framework round per batch.
 pub fn optimize(
     system_path: &Path,
     log_path: &Path,
@@ -254,7 +250,6 @@ pub fn optimize(
         batch,
         TelemetryMode::Off,
         None,
-        1,
         None,
         None,
     )?
@@ -264,17 +259,14 @@ pub fn optimize(
 /// [`optimize`] with the telemetry layer switched on for the duration of
 /// the run and an optional wall-clock budget per solve (`votekg optimize
 /// --solve-timeout-ms`; a solve that hits it applies its best iterate so
-/// far). `serve_workers` sets the serving cache's worker-thread count for
-/// the between-batch re-ranking of the incremental pipeline (`votekg
-/// optimize --serve-workers`; results are identical for any value).
-/// `trace` additionally turns on the flight recorder for the run and
-/// writes a Chrome trace-event file there (`votekg optimize --trace`).
-/// `wal` routes the whole run through the durable framework (`votekg
-/// optimize --wal DIR`): accepted votes and every committed round are
-/// written to an fsynced write-ahead log in that directory, so a crash
-/// mid-run loses at most the uncommitted round — `votekg recover`
-/// replays the rest. Returns the report plus the rendered telemetry
-/// dump (`None` with [`TelemetryMode::Off`]).
+/// far). `trace` additionally turns on the flight recorder for the run
+/// and writes a Chrome trace-event file there (`votekg optimize
+/// --trace`). `wal` makes the run durable (`votekg optimize --wal DIR`):
+/// accepted votes and every committed round are written to an fsynced
+/// write-ahead log in that directory, so a crash mid-run loses at most
+/// the uncommitted round — `votekg recover` replays the rest. Returns
+/// the report plus the rendered telemetry dump (`None` with
+/// [`TelemetryMode::Off`]).
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_instrumented(
     system_path: &Path,
@@ -283,7 +275,6 @@ pub fn optimize_instrumented(
     batch: usize,
     telemetry: TelemetryMode,
     solve_timeout: Option<std::time::Duration>,
-    serve_workers: usize,
     trace: Option<&Path>,
     wal: Option<&Path>,
 ) -> Result<(OptimizationReport, Option<String>), CliError> {
@@ -301,7 +292,6 @@ pub fn optimize_instrumented(
         strategy,
         batch,
         solve_timeout,
-        serve_workers,
         true,
         wal,
     );
@@ -325,14 +315,23 @@ pub fn optimize_instrumented(
     Ok((report, dump))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Runs the vote log through a [`votekg::Framework`] over the bundle's
+/// graph — one round for `batch = 0`, one round per batch of `batch`
+/// votes otherwise — and persists the result when `persist` is set.
+///
+/// With `wal`, the framework is durable: it opens (or creates) the
+/// write-ahead log there, recovering any state a previous crashed run
+/// committed, commits every round with an fsync, and checkpoints a
+/// compacted snapshot on completion. Votes still pending in the WAL from
+/// a crashed run take precedence: when any are recovered, the vote log
+/// is *not* re-ingested (its votes are already in the WAL), so
+/// re-running after a crash never applies a vote twice.
 pub(crate) fn optimize_inner(
     system_path: &Path,
     log_path: &Path,
     strategy: OptimizeStrategy,
     batch: usize,
     solve_timeout: Option<std::time::Duration>,
-    serve_workers: usize,
     persist: bool,
     wal: Option<&Path>,
 ) -> Result<OptimizationReport, CliError> {
@@ -345,63 +344,57 @@ pub(crate) fn optimize_inner(
         return Err(CliError::Usage("vote log contains no votes".into()));
     }
 
-    // Pipelines default to L = 5; honor the bundle's similarity settings.
-    let report = if let Some(wal_dir) = wal {
-        optimize_durable(
-            &mut qa.graph,
-            qa.sim,
-            &votes,
-            strategy,
-            batch,
-            solve_timeout,
-            serve_workers,
-            wal_dir,
-        )?
-    } else if batch > 0 {
-        optimize_incremental(
-            &mut qa.graph,
-            qa.sim,
-            &votes,
-            strategy,
-            batch,
-            solve_timeout,
-            serve_workers,
-        )
-    } else {
-        match strategy {
-            OptimizeStrategy::Single => {
-                let mut opts = SingleVoteOptions::default();
-                opts.encode.sim = qa.sim;
-                opts.solve.time_budget = solve_timeout;
-                solve_single_votes(&mut qa.graph, &votes, &opts)
+    let (config, fw_strategy) = framework_config(qa.sim, strategy, solve_timeout);
+    let graph = std::mem::replace(&mut qa.graph, empty_graph());
+    let wal_error = |e: votekg::WalError| CliError::Wal(e.to_string());
+    let mut fw = match wal {
+        None => votekg::Framework::new(graph, config),
+        Some(dir) => {
+            let opts = votekg::DurableOptions {
+                snapshot_every: 4,
+                ..Default::default()
+            };
+            let (fw, recovery) =
+                votekg::Framework::open_durable(dir, graph, config, opts).map_err(wal_error)?;
+            if recovery.votes_recovered > 0 {
+                eprintln!(
+                    "recovered {} pending vote(s) from {} (committed version {}); \
+                     optimizing those instead of re-reading the vote log",
+                    recovery.votes_recovered,
+                    dir.display(),
+                    recovery.recovered_version
+                );
             }
-            OptimizeStrategy::Multi => {
-                let mut opts = MultiVoteOptions::default();
-                opts.encode.sim = qa.sim;
-                opts.solve.time_budget = solve_timeout;
-                solve_multi_votes(&mut qa.graph, &votes, &opts)
-            }
-            OptimizeStrategy::SplitMerge { workers } => {
-                let mut opts = SplitMergeOptions {
-                    workers,
-                    ..Default::default()
-                };
-                opts.multi.encode.sim = qa.sim;
-                opts.multi.solve.time_budget = solve_timeout;
-                solve_split_merge(&mut qa.graph, &votes, &opts).report
-            }
+            fw
         }
     };
+    if fw.pending_votes().is_empty() {
+        for v in votes.votes {
+            fw.record_vote_durable(v).map_err(wal_error)?;
+        }
+    }
+    let reports = if batch > 0 {
+        fw.optimize_incremental_durable(fw_strategy, batch)
+            .map_err(wal_error)?
+    } else {
+        vec![fw.optimize_durable(fw_strategy).map_err(wal_error)?]
+    };
+    // A durable run that completed cleanly snapshots and compacts, so the
+    // WAL stays bounded and the next open is O(snapshot) instead of
+    // O(history). No-op without a WAL.
+    fw.checkpoint().map_err(wal_error)?;
+    qa.graph = std::mem::replace(fw.graph_mut(), empty_graph());
 
     if persist {
         let bundle = SystemBundle::from_system(&qa, doc_ids);
         bundle.save(system_path)?;
     }
-    Ok(report)
+    Ok(merge_reports(reports))
 }
 
 /// Builds a framework configuration for the bundle's similarity settings
-/// and the CLI strategy, returning the matching framework strategy.
+/// (pipelines default to L = 5) and the CLI strategy, returning the
+/// matching framework strategy.
 fn framework_config(
     sim: SimilarityConfig,
     strategy: OptimizeStrategy,
@@ -438,92 +431,6 @@ fn merge_reports(reports: Vec<OptimizationReport>) -> OptimizationReport {
         merged.total_elapsed += r.total_elapsed;
     }
     merged
-}
-
-/// Runs the framework's incremental pipeline (batched solves with
-/// delta-based re-ranking through the serving cache between batches) and
-/// folds the per-batch reports into one.
-fn optimize_incremental(
-    graph: &mut kg_graph::KnowledgeGraph,
-    sim: SimilarityConfig,
-    votes: &VoteSet,
-    strategy: OptimizeStrategy,
-    batch: usize,
-    solve_timeout: Option<std::time::Duration>,
-    serve_workers: usize,
-) -> OptimizationReport {
-    let (config, fw_strategy) = framework_config(sim, strategy, solve_timeout);
-    let mut fw = votekg::Framework::new(std::mem::replace(graph, empty_graph()), config)
-        .with_serve_workers(serve_workers.max(1));
-    for v in &votes.votes {
-        fw.record_vote(v.clone());
-    }
-    let reports = fw.optimize_incremental(fw_strategy, batch);
-    *graph = std::mem::replace(fw.graph_mut(), empty_graph());
-    merge_reports(reports)
-}
-
-/// Runs an optimization through the durable framework (`votekg optimize
-/// --wal DIR`): opens (or creates) the write-ahead log in `wal_dir`,
-/// recovering any state a previous crashed run committed there, records
-/// the log's votes, optimizes with per-round fsynced WAL commits, and
-/// checkpoints a compacted snapshot on completion.
-///
-/// Votes still pending in the WAL from a crashed run take precedence:
-/// when any are recovered, the legacy vote log is *not* re-ingested
-/// (its votes are already in the WAL), so re-running after a crash never
-/// applies a vote twice.
-#[allow(clippy::too_many_arguments)]
-fn optimize_durable(
-    graph: &mut kg_graph::KnowledgeGraph,
-    sim: SimilarityConfig,
-    votes: &VoteSet,
-    strategy: OptimizeStrategy,
-    batch: usize,
-    solve_timeout: Option<std::time::Duration>,
-    serve_workers: usize,
-    wal_dir: &Path,
-) -> Result<OptimizationReport, CliError> {
-    let (config, fw_strategy) = framework_config(sim, strategy, solve_timeout);
-    let opts = votekg::DurableOptions {
-        snapshot_every: 4,
-        ..Default::default()
-    };
-    let (fw, recovery) = votekg::Framework::open_durable(
-        wal_dir,
-        std::mem::replace(graph, empty_graph()),
-        config,
-        opts,
-    )
-    .map_err(|e| CliError::Wal(e.to_string()))?;
-    let mut fw = fw.with_serve_workers(serve_workers.max(1));
-    if recovery.votes_recovered > 0 {
-        eprintln!(
-            "recovered {} pending vote(s) from {} (committed version {}); \
-             optimizing those instead of re-reading the vote log",
-            recovery.votes_recovered,
-            wal_dir.display(),
-            recovery.recovered_version
-        );
-    } else {
-        for v in &votes.votes {
-            fw.record_vote_durable(v.clone())
-                .map_err(|e| CliError::Wal(e.to_string()))?;
-        }
-    }
-    let reports = if batch > 0 {
-        fw.optimize_incremental_durable(fw_strategy, batch)
-            .map_err(|e| CliError::Wal(e.to_string()))?
-    } else {
-        vec![fw
-            .optimize_durable(fw_strategy)
-            .map_err(|e| CliError::Wal(e.to_string()))?]
-    };
-    // Completed cleanly: snapshot + compact so the WAL stays bounded and
-    // the next open is O(snapshot) instead of O(history).
-    fw.checkpoint().map_err(|e| CliError::Wal(e.to_string()))?;
-    *graph = std::mem::replace(fw.graph_mut(), empty_graph());
-    Ok(merge_reports(reports))
 }
 
 /// What `votekg recover` reconstructed, ready for rendering.

@@ -1,5 +1,7 @@
 //! The `votekg` command-line entry point. See `votekg help`.
 
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use votekg_cli::{
@@ -21,8 +23,8 @@ USAGE:
   votekg optimize   --system system.json --log votes.jsonl
                     [--strategy single|multi|split-merge[:WORKERS]]
                     [--batch N] [--telemetry json|prom|off]
-                    [--solve-timeout-ms N] [--serve-workers N]
-                    [--trace trace.json] [--wal DIR]
+                    [--solve-timeout-ms N] [--trace trace.json]
+                    [--wal DIR]
   votekg serve      --system system.json [--addr HOST:PORT]
                     [--server-workers N] [--serve-workers N]
                     [--queue-depth N] [--read-timeout-ms N]
@@ -59,12 +61,16 @@ DIR; after a crash, `votekg recover` replays it onto the bundle and
 restores the exact committed weights, bit for bit.
 ";
 
-/// Tiny flag map: `--name value` pairs plus `-k N`.
-struct Flags(std::collections::HashMap<String, String>);
+/// Tiny flag map: `--name value` pairs plus `-k N`. It remembers which
+/// keys a subcommand looked up, so [`Flags::done`] can reject the rest.
+struct Flags {
+    map: HashMap<String, String>,
+    read: RefCell<HashSet<String>>,
+}
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, CliError> {
-        let mut map = std::collections::HashMap::new();
+        let mut map = HashMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let key = a
@@ -76,27 +82,49 @@ impl Flags {
                 .ok_or_else(|| CliError::Usage(format!("flag --{key} requires a value")))?;
             map.insert(key.to_string(), value.clone());
         }
-        Ok(Flags(map))
+        Ok(Flags {
+            map,
+            read: RefCell::default(),
+        })
     }
 
     fn req(&self, key: &str) -> Result<&str, CliError> {
-        self.0
-            .get(key)
-            .map(String::as_str)
+        self.opt(key)
             .ok_or_else(|| CliError::Usage(format!("missing required flag --{key}")))
     }
 
     fn opt(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(String::as_str)
+        self.read.borrow_mut().insert(key.to_string());
+        self.map.get(key).map(String::as_str)
     }
 
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.0.get(key) {
+        match self.opt(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
                 .map_err(|_| CliError::Usage(format!("invalid value for --{key}: {v:?}"))),
         }
+    }
+
+    /// Fails naming every flag the subcommand never looked up. Call it
+    /// after reading the flags and before doing any work.
+    fn done(&self) -> Result<(), CliError> {
+        let read = self.read.borrow();
+        let mut unread: Vec<String> = self
+            .map
+            .keys()
+            .filter(|k| !read.contains(*k))
+            .map(|k| format!("--{k}"))
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort();
+        Err(CliError::Usage(format!(
+            "unknown flag(s) for this command: {}; run `votekg help`",
+            unread.join(", ")
+        )))
     }
 }
 
@@ -108,6 +136,7 @@ fn run_trace(sub: &str, flags: &Flags) -> Result<(), CliError> {
             let out = PathBuf::from(flags.req("out")?);
             let strategy = OptimizeStrategy::parse(flags.opt("strategy").unwrap_or("multi"))?;
             let batch = flags.num("batch", 0usize)?;
+            flags.done()?;
             let (report, parsed) = trace_record(&system, &log, strategy, batch, &out)?;
             println!(
                 "recorded {} events ({} spans, {} dropped) from optimizing {} votes -> {}",
@@ -121,8 +150,10 @@ fn run_trace(sub: &str, flags: &Flags) -> Result<(), CliError> {
         }
         "export" => {
             let input = PathBuf::from(flags.req("in")?);
+            let out = flags.opt("out");
+            flags.done()?;
             let (parsed, normalized) = trace_export(&input)?;
-            match flags.opt("out") {
+            match out {
                 Some(out) => {
                     std::fs::write(out, &normalized).map_err(|e| CliError::io(out, e))?;
                     println!(
@@ -143,6 +174,7 @@ fn run_trace(sub: &str, flags: &Flags) -> Result<(), CliError> {
                     CliError::Usage(format!("invalid value for --min-coverage: {v:?}"))
                 })?),
             };
+            flags.done()?;
             let (_, rendered) = trace_report(&input, min_coverage)?;
             print!("{rendered}");
         }
@@ -176,6 +208,7 @@ fn run() -> Result<(), CliError> {
             let out = PathBuf::from(flags.req("out")?);
             let docs = flags.num("docs", 120usize)?;
             let seed = flags.num("seed", 42u64)?;
+            flags.done()?;
             let n = gen_corpus(docs, seed, &out)?;
             println!("wrote {n} documents to {}", out.display());
         }
@@ -184,6 +217,7 @@ fn run() -> Result<(), CliError> {
             let out = PathBuf::from(flags.req("out")?);
             let min_doc_count = flags.num("min-doc-count", 2usize)?;
             let max_path_len = flags.num("max-path-len", 2usize)?;
+            flags.done()?;
             let bundle = build(&corpus, &out, min_doc_count, max_path_len)?;
             println!(
                 "built system: {} entities, {} edges, {} documents -> {}",
@@ -197,6 +231,7 @@ fn run() -> Result<(), CliError> {
             let system = PathBuf::from(flags.req("system")?);
             let question = flags.req("question")?;
             let k = flags.num("k", 10usize)?;
+            flags.done()?;
             let outcome = ask(&system, question, k)?;
             for (rank, (doc, score)) in outcome.ranked.iter().enumerate() {
                 println!("#{:<3} {doc}  (score {score:.6})", rank + 1);
@@ -208,6 +243,7 @@ fn run() -> Result<(), CliError> {
             let question = flags.req("question")?;
             let best = flags.req("best")?;
             let k = flags.num("k", 10usize)?;
+            flags.done()?;
             let (v, negative) = vote(&system, &log, question, best, k)?;
             println!(
                 "recorded {} vote: best answer ranked #{} of {}",
@@ -231,9 +267,9 @@ fn run() -> Result<(), CliError> {
                     Some(std::time::Duration::from_millis(ms))
                 }
             };
-            let serve_workers = flags.num("serve-workers", 1usize)?;
             let trace = flags.opt("trace").map(PathBuf::from);
             let wal = flags.opt("wal").map(PathBuf::from);
+            flags.done()?;
             let (report, dump) = optimize_instrumented(
                 &system,
                 &log,
@@ -241,7 +277,6 @@ fn run() -> Result<(), CliError> {
                 batch,
                 telemetry,
                 solve_timeout,
-                serve_workers,
                 trace.as_deref(),
                 wal.as_deref(),
             )?;
@@ -301,6 +336,7 @@ fn run() -> Result<(), CliError> {
                 wal: flags.opt("wal").map(PathBuf::from),
                 max_seconds,
             };
+            flags.done()?;
             let report = serve(&serve_args)?;
             let s = &report.stats;
             eprintln!(
@@ -323,6 +359,7 @@ fn run() -> Result<(), CliError> {
             let system = PathBuf::from(flags.req("system")?);
             let wal = PathBuf::from(flags.req("wal")?);
             let out = flags.opt("out").map(PathBuf::from);
+            flags.done()?;
             let outcome = recover(&system, &wal, out.as_deref())?;
             let r = &outcome.report;
             // The first line and the `verified` line are deterministic
@@ -357,12 +394,14 @@ fn run() -> Result<(), CliError> {
             let question = flags.req("question")?;
             let doc = flags.req("doc")?;
             let top = flags.num("top", 5usize)?;
+            flags.done()?;
             for line in explain(&system, question, doc, top)? {
                 println!("{line}");
             }
         }
         "stats" => {
             let system = PathBuf::from(flags.req("system")?);
+            flags.done()?;
             println!("{}", stats(&system)?);
         }
         "fuzz" => {
@@ -370,6 +409,7 @@ fn run() -> Result<(), CliError> {
             let trace = flags.opt("trace").map(PathBuf::from);
             if let Some(replay_path) = flags.opt("replay") {
                 let path = PathBuf::from(replay_path);
+                flags.done()?;
                 let (report, dump) = fuzz_replay(&path, telemetry, trace.as_deref())?;
                 let summary = format!(
                     "replayed {}: verdict {} ({} solves, stored {}) — deterministic across 2 runs",
@@ -414,6 +454,7 @@ fn run() -> Result<(), CliError> {
                     telemetry,
                     trace,
                 };
+                flags.done()?;
                 let (summary, dump) = fuzz_campaign(&args)?;
                 for d in &summary.divergences {
                     let loc = d
@@ -441,7 +482,10 @@ fn run() -> Result<(), CliError> {
                 }
             }
         }
-        "help" | "--help" | "-h" => print!("{HELP}"),
+        "help" | "--help" | "-h" => {
+            flags.done()?;
+            print!("{HELP}");
+        }
         other => {
             return Err(CliError::Usage(format!(
                 "unknown command {other:?}; run `votekg help`"

@@ -24,7 +24,8 @@ pub struct ServeArgs {
     pub addr: String,
     /// Connection-handling worker threads.
     pub server_workers: usize,
-    /// Serving-cache re-rank workers (1 = inline; results identical).
+    /// Serving-cache workers for batched ranking misses (1 = inline;
+    /// results identical).
     pub serve_workers: usize,
     /// Bounded accept-queue depth.
     pub queue_depth: usize,

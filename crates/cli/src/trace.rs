@@ -40,7 +40,7 @@ pub fn trace_record(
     kg_telemetry::reset();
     kg_telemetry::enable();
     kg_telemetry::start_recording();
-    let result = optimize_inner(system_path, log_path, strategy, batch, None, 1, false, None);
+    let result = optimize_inner(system_path, log_path, strategy, batch, None, false, None);
     kg_telemetry::stop_recording();
     let json = kg_telemetry::chrome_trace_json();
     kg_telemetry::disable();

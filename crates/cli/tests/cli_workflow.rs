@@ -1,8 +1,12 @@
 //! End-to-end CLI workflow: gen-corpus → build → ask → vote → optimize →
 //! ask again, all against real files in a temp directory.
 
-use std::path::PathBuf;
-use votekg_cli::{ask, build, gen_corpus, optimize, stats, vote, CliError, OptimizeStrategy};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use votekg_cli::{
+    ask, build, gen_corpus, optimize, optimize_instrumented, stats, vote, CliError,
+    OptimizeStrategy, SystemBundle, TelemetryMode,
+};
 
 struct TempDir(PathBuf);
 
@@ -105,7 +109,7 @@ fn incremental_optimize_satisfies_the_voted_question() {
         }
     }
     assert!(!voted.is_empty());
-    // Batches of one vote: every vote is its own solve + re-rank round.
+    // Batches of one vote: every vote is its own solve + publish round.
     let report = optimize(&system, &log, OptimizeStrategy::Multi, 1).unwrap();
     assert_eq!(report.outcomes.len(), voted.len(), "{report:?}");
     // The last-voted question's pick must now rank first in the
@@ -140,7 +144,6 @@ fn solve_timeout_is_plumbed_to_the_solver() {
         0,
         votekg_cli::TelemetryMode::Off,
         Some(std::time::Duration::ZERO),
-        1,
         None,
         None,
     )
@@ -173,7 +176,6 @@ fn durable_optimize_writes_a_recoverable_wal() {
         1,
         votekg_cli::TelemetryMode::Off,
         None,
-        1,
         None,
         Some(&wal_dir),
     )
@@ -198,6 +200,98 @@ fn durable_optimize_writes_a_recoverable_wal() {
         outcome.report.recovered_version
     );
     assert_eq!(again.report.weights_crc, outcome.report.weights_crc);
+}
+
+/// Votes on three questions; returns the log path.
+fn vote_three(tmp: &TempDir, system: &Path) -> PathBuf {
+    let log = tmp.path("votes.jsonl");
+    for (q, pick) in [
+        ("refund order rules", 2usize),
+        ("cart checkout quantity", 2),
+        ("delivery tracking package", 1),
+    ] {
+        let ranked = ask(system, q, 10).unwrap().ranked;
+        if ranked.len() > pick && ranked[pick].1 > 0.0 {
+            vote(system, &log, q, &ranked[pick].0.clone(), 10).unwrap();
+        }
+    }
+    log
+}
+
+fn weight_bits(system: &Path) -> Vec<u64> {
+    let bundle = SystemBundle::load(system).unwrap();
+    bundle.graph.edges.iter().map(|e| e.2.to_bits()).collect()
+}
+
+#[test]
+fn plain_batched_and_durable_optimize_persist_identical_weights() {
+    let (tmp, _corpus, system) = setup("three-modes");
+    let log = vote_three(&tmp, &system);
+    let votes = std::fs::read_to_string(&log).unwrap().lines().count() - 1;
+    assert!(votes >= 2, "expected several votes, got {votes}");
+    let mut persisted = Vec::new();
+    for (mode, batch, wal) in [
+        ("plain", 0, None),
+        ("batch", votes + 1, None),
+        ("wal", 0, Some(tmp.path("wal"))),
+    ] {
+        let copy = tmp.path(&format!("system-{mode}.json"));
+        std::fs::copy(&system, &copy).unwrap();
+        let (report, _) = optimize_instrumented(
+            &copy,
+            &log,
+            OptimizeStrategy::Multi,
+            batch,
+            TelemetryMode::Off,
+            None,
+            None,
+            wal.as_deref(),
+        )
+        .unwrap();
+        assert_eq!(report.outcomes.len(), votes, "{mode}: {report:?}");
+        persisted.push((mode, weight_bits(&copy)));
+    }
+    assert_ne!(
+        persisted[0].1,
+        weight_bits(&system),
+        "the votes moved weights"
+    );
+    for (mode, bits) in &persisted[1..] {
+        assert!(*bits == persisted[0].1, "{mode} weights differ from plain");
+    }
+}
+
+#[test]
+fn unknown_flags_are_rejected_before_any_work() {
+    let (tmp, _corpus, system) = setup("unknown-flags");
+    let log = vote_three(&tmp, &system);
+    let before = std::fs::read_to_string(&system).unwrap();
+    for (flag, value) in [("--stratgy", "single"), ("--serve-workers", "2")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_votekg"))
+            .arg("optimize")
+            .arg("--system")
+            .arg(&system)
+            .arg("--log")
+            .arg(&log)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} was accepted: {stderr}");
+        assert!(
+            stderr.contains(flag),
+            "error does not name {flag}: {stderr}"
+        );
+        assert_eq!(std::fs::read_to_string(&system).unwrap(), before);
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_votekg"))
+        .args(["stats", "--system"])
+        .arg(&system)
+        .args(["--verbose", "1"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--verbose"));
 }
 
 #[test]

@@ -73,7 +73,6 @@ fn json_dump_has_per_phase_and_per_solver_shape() {
         0,
         TelemetryMode::Json,
         None,
-        2,
         None,
         None,
     )
@@ -176,7 +175,6 @@ fn prometheus_dump_renders_exposition_format() {
         0,
         TelemetryMode::Prom,
         None,
-        1,
         None,
         None,
     )
@@ -208,7 +206,6 @@ fn off_mode_returns_no_dump() {
         0,
         TelemetryMode::Off,
         None,
-        1,
         None,
         None,
     )

@@ -112,7 +112,6 @@ fn optimize_trace_flag_writes_loadable_trace() {
         0,
         TelemetryMode::Off,
         None,
-        1,
         Some(&out),
         None,
     )
@@ -123,15 +122,26 @@ fn optimize_trace_flag_writes_loadable_trace() {
     let names: Vec<&str> = parsed.spans.iter().map(|s| s.name.as_str()).collect();
     assert!(names.contains(&"votekg.cluster.round"), "{names:?}");
     assert!(names.contains(&"votekg.cluster.solve_all"), "{names:?}");
+    // The CLI runs the framework's round, which wraps the cluster round.
+    // The cluster round's own self time counts as unattributed, so the
+    // 95% gate still requires ap/solve/merge to account for it.
     let (timeline, _) = trace_report(&out, None).unwrap();
     let round = timeline
         .rounds
         .iter()
-        .find(|r| r.name == "votekg.cluster.round")
-        .expect("cluster round in report");
+        .find(|r| r.name == "votekg.framework.round")
+        .expect("framework round in report");
+    assert!(
+        round
+            .phases
+            .iter()
+            .any(|p| p.name == "votekg.cluster.round"),
+        "{:?}",
+        round.phases
+    );
     assert!(
         round.coverage >= 0.95,
-        "cluster round coverage {:.3} below 95%",
+        "framework round coverage {:.3} below 95%",
         round.coverage
     );
 }

@@ -2,7 +2,7 @@
 //! collect votes → optimize → rank better next time.
 
 use crate::durable::{Durability, DurableOptions, RecoveryReport};
-use kg_cluster::{solve_split_merge, SplitMergeOptions, SplitMergeReport};
+use kg_cluster::{solve_split_merge, SplitMergeOptions};
 use kg_graph::{GraphSnapshot, KnowledgeGraph, NodeId, SharedGraph, WeightSnapshot};
 use kg_serve::{ServeConfig, ServeHandle, ServeStats, SnapshotServer};
 use kg_sim::topk::RankedAnswer;
@@ -87,6 +87,11 @@ impl FrameworkConfig {
 /// writer moves the cache to each new snapshot before publishing it, so
 /// readers never pay for the refresh, and a read waits at most for one
 /// pointer swap.
+///
+/// Every optimization entry point runs the same round: aggregate (when
+/// configured), solve, publish, commit to the WAL (when durable). The
+/// writer evicts the rankings a round can change but never recomputes
+/// them; the next reader of an evicted query does.
 #[derive(Debug)]
 pub struct Framework {
     graph: KnowledgeGraph,
@@ -200,14 +205,6 @@ impl Framework {
         }
     }
 
-    /// Commits the current round to the WAL when durability is armed.
-    fn commit_if_durable(&mut self, votes_consumed: usize) -> Result<(), WalError> {
-        match self.durability.as_mut() {
-            Some(d) => d.commit(&self.graph, &self.pending, votes_consumed),
-            None => Ok(()),
-        }
-    }
-
     /// Renders a WAL failure for the infallible entry points. Only
     /// reachable when durability is armed — without it the durable hooks
     /// are no-ops — so the panic message points at the `_durable` API.
@@ -218,8 +215,9 @@ impl Framework {
         )
     }
 
-    /// Sets the worker-thread count the serving cache uses for batched
-    /// re-ranking (1 = inline). Results are identical for any value.
+    /// Sets the worker-thread count the serving cache spreads a
+    /// [`Self::rank_batch`]'s misses over (1 = inline). Results are
+    /// identical for any value.
     /// Rebuilds the cache, so call it before handing out [`Self::handle`]s.
     pub fn with_serve_workers(mut self, workers: usize) -> Self {
         let cfg = ServeConfig {
@@ -363,66 +361,24 @@ impl Framework {
 
     /// [`Self::optimize`] with the round's WAL commit (weight deltas +
     /// checksum, fsynced) surfaced as a `Result`. On a durable framework
-    /// the round is recoverable once this returns `Ok`.
+    /// the round is recoverable once this returns `Ok`. With no votes
+    /// pending it still commits one round, so direct [`Self::graph_mut`]
+    /// edits become durable.
     pub fn optimize_durable(&mut self, strategy: Strategy) -> Result<OptimizationReport, WalError> {
-        let raw_votes = self.pending.len();
-        let mut votes = std::mem::take(&mut self.pending);
-        if self.config.aggregate {
-            votes = kg_votes::aggregate_votes(&votes).0;
-        }
-        let mut round = kg_telemetry::span!("votekg.framework.round", {
-            strategy: strategy.as_str(),
-            raw_votes: raw_votes,
-            votes: votes.len(),
-        });
         self.last_snapshot = Some(WeightSnapshot::capture(&self.graph));
-        let report = match strategy {
-            Strategy::SingleVote => {
-                solve_single_votes(&mut self.graph, &votes, &self.config.single)
-            }
-            Strategy::MultiVote => solve_multi_votes(&mut self.graph, &votes, &self.config.multi),
-            Strategy::SplitMerge => {
-                solve_split_merge(&mut self.graph, &votes, &self.config.split_merge).report
-            }
-        };
-        self.record_round(strategy, &mut round, &report);
-        {
-            let _phase = kg_telemetry::span!("votekg.framework.publish");
-            self.published();
-        }
-        self.commit_if_durable(raw_votes)?;
-        Ok(report)
-    }
-
-    /// Like [`Self::optimize`] with [`Strategy::SplitMerge`], but returns
-    /// the full split-and-merge report (clusters, timings, conflicts).
-    ///
-    /// Panics when the framework is durable and the round's WAL commit
-    /// fails.
-    pub fn optimize_split_merge(&mut self) -> SplitMergeReport {
-        let raw_votes = self.pending.len();
         let votes = std::mem::take(&mut self.pending);
-        self.last_snapshot = Some(WeightSnapshot::capture(&self.graph));
-        let report = solve_split_merge(&mut self.graph, &votes, &self.config.split_merge);
-        self.published();
-        if let Err(e) = self.commit_if_durable(raw_votes) {
-            Self::wal_panic(e);
-        }
-        report
+        self.step(strategy, votes)
     }
 
     /// Incremental operation: optimizes the pending votes in arrival-order
-    /// batches of at most `batch_size`, re-ranking between batches — the
-    /// deployment mode where feedback trickles in continuously and waiting
-    /// for a large batch is not acceptable. Returns one report per batch.
+    /// batches of at most `batch_size` — the deployment mode where
+    /// feedback trickles in continuously and waiting for a large batch is
+    /// not acceptable. Returns one report per batch.
     ///
-    /// Between batches the serving cache is refreshed *selectively*: each
-    /// batch's publish evicts only the cached queries its changed edges
-    /// can reach (within `L − 1` hops), and the graph's
-    /// [`kg_graph::WeightDelta`] since the batch started is fed to
-    /// [`kg_sim::affected_queries`] to re-rank the voted queries those
-    /// edges can reach — through [`Self::rank_batch`], so concurrent
-    /// readers of the framework see warm, current rankings the whole time.
+    /// Each batch is one [`Self::optimize`] round over its votes: the
+    /// same pipeline call, then a publish that evicts only the cached
+    /// queries the batch's changed edges can reach (within `L − 1` hops).
+    /// An evicted query is recomputed by its next reader.
     ///
     /// Compared to one big [`Self::optimize`] call, smaller batches trade
     /// some conflict-resolution quality (conflicts spanning batches are
@@ -455,14 +411,6 @@ impl Framework {
     ) -> Result<Vec<OptimizationReport>, WalError> {
         assert!(batch_size > 0, "batch size must be positive");
         self.last_snapshot = Some(WeightSnapshot::capture(&self.graph));
-        // Distinct voted questions, in arrival order: the re-rank universe.
-        let mut questions: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-        for v in &self.pending.votes {
-            if !questions.iter().any(|(q, _)| *q == v.query) {
-                questions.push((v.query, v.answers.clone()));
-            }
-        }
-        let sim = self.config.sim();
         let mut reports = Vec::new();
         // Batches drain the pending queue one chunk at a time (rather than
         // taking it wholesale up front) so `self.pending` always holds
@@ -471,55 +419,53 @@ impl Framework {
         // recovers it.
         while !self.pending.is_empty() {
             let take = batch_size.min(self.pending.len());
-            let chunk: Vec<Vote> = self.pending.votes.drain(..take).collect();
-            let version_before = self.graph.version();
-            let batch = VoteSet::from_votes(chunk);
-            let report = match strategy {
-                Strategy::SingleVote => {
-                    solve_single_votes(&mut self.graph, &batch, &self.config.single)
-                }
-                Strategy::MultiVote => {
-                    solve_multi_votes(&mut self.graph, &batch, &self.config.multi)
-                }
-                Strategy::SplitMerge => {
-                    solve_split_merge(&mut self.graph, &batch, &self.config.split_merge).report
-                }
-            };
-            reports.push(report);
-            // Publish the batch's result before re-ranking, so concurrent
-            // handles switch to the new weights even when no cached query
-            // is affected.
-            {
-                let _phase = kg_telemetry::span!("votekg.framework.publish");
-                self.published();
-            }
-
-            // Between-batch re-rank of exactly the queries this batch's
-            // weight changes can affect.
-            let delta = self.graph.changes_since(version_before);
-            if !delta.is_empty() {
-                let mut rerank = kg_telemetry::span!("votekg.framework.rerank");
-                let queries: Vec<NodeId> = questions.iter().map(|(q, _)| *q).collect();
-                let affected = kg_sim::affected_queries(&self.graph, &delta.edges, &queries, &sim);
-                let requests: Vec<BatchQuery<'_>> = questions
-                    .iter()
-                    .filter(|(q, _)| affected.contains(q))
-                    .map(|(q, answers)| BatchQuery {
-                        query: *q,
-                        answers,
-                        k: answers.len(),
-                    })
-                    .collect();
-                rerank.field("queries", requests.len());
-                if kg_telemetry::is_enabled() {
-                    kg_telemetry::counter("votekg.framework.incremental_reranks")
-                        .add(requests.len() as u64);
-                }
-                self.rank_batch(&requests);
-            }
-            self.commit_if_durable(take)?;
+            let batch = VoteSet::from_votes(self.pending.votes.drain(..take).collect());
+            reports.push(self.step(strategy, batch)?);
         }
         Ok(reports)
+    }
+
+    /// One optimization round over `votes`, already drained from the
+    /// pending queue: aggregate when configured, run the strategy's
+    /// pipeline, then publish and commit.
+    fn step(&mut self, strategy: Strategy, votes: VoteSet) -> Result<OptimizationReport, WalError> {
+        let raw_votes = votes.len();
+        let votes = if self.config.aggregate {
+            kg_votes::aggregate_votes(&votes).0
+        } else {
+            votes
+        };
+        let mut round = kg_telemetry::span!("votekg.framework.round", {
+            strategy: strategy.as_str(),
+            raw_votes: raw_votes,
+            votes: votes.len(),
+        });
+        let report = match strategy {
+            Strategy::SingleVote => {
+                solve_single_votes(&mut self.graph, &votes, &self.config.single)
+            }
+            Strategy::MultiVote => solve_multi_votes(&mut self.graph, &votes, &self.config.multi),
+            Strategy::SplitMerge => {
+                solve_split_merge(&mut self.graph, &votes, &self.config.split_merge).report
+            }
+        };
+        self.record_round(strategy, &mut round, &report);
+        self.publish_and_commit(raw_votes)?;
+        Ok(report)
+    }
+
+    /// Makes the graph's current state visible to readers, then commits
+    /// it to the WAL as a round that consumed `votes_consumed` votes when
+    /// durability is armed.
+    fn publish_and_commit(&mut self, votes_consumed: usize) -> Result<(), WalError> {
+        {
+            let _phase = kg_telemetry::span!("votekg.framework.publish");
+            self.published();
+        }
+        match self.durability.as_mut() {
+            Some(d) => d.commit(&self.graph, &self.pending, votes_consumed),
+            None => Ok(()),
+        }
     }
 
     /// One structured summary per optimization round: outcome fields on
@@ -568,23 +514,18 @@ impl Framework {
     }
 
     /// Reverts the graph to its weights before the last optimize call.
-    /// Returns false when there is nothing to revert.
+    /// Returns `Ok(false)` when there is nothing to revert.
     ///
     /// On a durable framework the revert is itself committed to the WAL
-    /// as a zero-vote round (panicking if that write fails), so recovery
-    /// reproduces the reverted weights.
-    pub fn revert_last_optimization(&mut self) -> bool {
-        match self.last_snapshot.take() {
-            Some(snap) => {
-                snap.restore(&mut self.graph);
-                self.published();
-                if let Err(e) = self.commit_if_durable(0) {
-                    Self::wal_panic(e);
-                }
-                true
-            }
-            None => false,
-        }
+    /// as a zero-vote round, so recovery reproduces the reverted weights;
+    /// a failed commit is returned as the error.
+    pub fn revert_last_optimization(&mut self) -> Result<bool, WalError> {
+        let Some(snap) = self.last_snapshot.take() else {
+            return Ok(false);
+        };
+        snap.restore(&mut self.graph);
+        self.publish_and_commit(0)?;
+        Ok(true)
     }
 }
 
@@ -644,11 +585,11 @@ mod tests {
         let mut fw = Framework::new(g.clone(), FrameworkConfig::default());
         fw.record_vote(Vote::new(q, vec![a1, a2], a2));
         fw.optimize(Strategy::MultiVote);
-        assert!(fw.revert_last_optimization());
+        assert!(fw.revert_last_optimization().unwrap());
         for e in g.edges() {
             assert_eq!(fw.graph().weight(e.edge), e.weight);
         }
-        assert!(!fw.revert_last_optimization());
+        assert!(!fw.revert_last_optimization().unwrap());
     }
 
     #[test]
@@ -671,15 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn split_merge_report_exposes_clusters() {
-        let (g, q, a1, a2) = scene();
-        let mut fw = Framework::new(g, FrameworkConfig::default());
-        fw.record_vote(Vote::new(q, vec![a1, a2], a2));
-        let report = fw.optimize_split_merge();
-        assert_eq!(report.clusters.len(), 1);
-    }
-
-    #[test]
     fn incremental_batches_cover_all_votes() {
         let (g, q, a1, a2) = scene();
         let mut fw = Framework::new(g, FrameworkConfig::default());
@@ -697,7 +629,7 @@ mod tests {
             1
         );
         // Revert undoes all batches at once.
-        assert!(fw.revert_last_optimization());
+        assert!(fw.revert_last_optimization().unwrap());
     }
 
     #[test]
@@ -766,22 +698,26 @@ mod tests {
     }
 
     #[test]
-    fn incremental_rerank_leaves_cache_warm() {
+    fn the_writer_never_ranks() {
         let (g, q, a1, a2) = scene();
-        let mut fw = Framework::new(g, FrameworkConfig::default()).with_serve_workers(2);
+        let mut fw = Framework::new(g, FrameworkConfig::default());
+        fw.rank(q, &[a1, a2], 2);
         for _ in 0..3 {
             fw.record_vote(Vote::new(q, vec![a1, a2], a2));
         }
+        let misses_before = fw.serve_stats().misses;
         fw.optimize_incremental(Strategy::MultiVote, 1);
-        // The between-batch re-rank already recomputed q's entry for the
-        // final weights, so serving it now is a pure cache hit.
-        let hits_before = fw.serve_stats().hits;
+        // The rounds evict q's entry but compute no ranking of their own.
+        assert_eq!(fw.serve_stats().misses, misses_before);
+        // Its next reader refills it, bitwise equal to an uncached
+        // evaluation of the final weights.
         let served = fw.rank(q, &[a1, a2], 2);
-        assert_eq!(fw.serve_stats().hits, hits_before + 1);
-        assert_eq!(
-            served,
-            kg_sim::rank_answers(fw.graph(), q, &[a1, a2], &fw.config().sim(), 2)
-        );
+        assert_eq!(fw.serve_stats().misses, misses_before + 1);
+        let uncached = kg_sim::rank_answers(fw.graph(), q, &[a1, a2], &fw.config().sim(), 2);
+        let bits = |r: &[RankedAnswer]| -> Vec<(NodeId, u64)> {
+            r.iter().map(|a| (a.node, a.score.to_bits())).collect()
+        };
+        assert_eq!(bits(&served), bits(&uncached));
     }
 
     #[test]
@@ -1132,7 +1068,7 @@ mod durable_tests {
             .unwrap();
             fw.record_vote(Vote::new(q, vec![a1, a2], a2));
             fw.optimize_durable(Strategy::MultiVote).unwrap();
-            assert!(fw.revert_last_optimization());
+            assert!(fw.revert_last_optimization().unwrap());
             (weight_bits(fw.graph()), fw.graph().version())
         };
         let (fw2, report) = Framework::open_durable(
@@ -1285,8 +1221,7 @@ mod aggregate_tests {
     use super::*;
     use kg_graph::{GraphBuilder, NodeKind};
 
-    #[test]
-    fn aggregation_collapses_repeated_votes() {
+    fn scene() -> (KnowledgeGraph, NodeId, NodeId, NodeId) {
         let mut b = GraphBuilder::new();
         let q = b.add_node("q", NodeKind::Query);
         let h1 = b.add_node("h1", NodeKind::Entity);
@@ -1297,8 +1232,12 @@ mod aggregate_tests {
         b.add_edge(q, h2, 0.5).unwrap();
         b.add_edge(h1, a1, 0.7).unwrap();
         b.add_edge(h2, a2, 0.3).unwrap();
-        let g = b.build();
+        (b.build(), q, a1, a2)
+    }
 
+    #[test]
+    fn aggregation_collapses_repeated_votes() {
+        let (g, q, a1, a2) = scene();
         let mut fw = Framework::new(
             g,
             FrameworkConfig {
@@ -1317,5 +1256,32 @@ mod aggregate_tests {
         // The majority's answer now wins.
         let ranked = fw.rank(q, &[a1, a2], 2);
         assert_eq!(ranked[0].node, a2);
+    }
+
+    #[test]
+    fn incremental_rounds_aggregate_like_optimize() {
+        let (g, q, a1, a2) = scene();
+        let config = FrameworkConfig {
+            aggregate: true,
+            ..Default::default()
+        };
+        let run = |incremental: bool| {
+            let mut fw = Framework::new(g.clone(), config.clone());
+            for best in [a2, a2, a1, a2] {
+                fw.record_vote(Vote::new(q, vec![a1, a2], best));
+            }
+            let report = if incremental {
+                let mut reports = fw.optimize_incremental(Strategy::MultiVote, 8);
+                assert_eq!(reports.len(), 1);
+                reports.pop().unwrap()
+            } else {
+                fw.optimize(Strategy::MultiVote)
+            };
+            let bits: Vec<u64> = fw.graph().weights().iter().map(|w| w.to_bits()).collect();
+            (report.outcomes, bits)
+        };
+        let (outcomes, bits) = run(false);
+        assert_eq!(outcomes.len(), 1, "four votes aggregate to one");
+        assert_eq!(run(true), (outcomes, bits));
     }
 }

@@ -37,7 +37,7 @@ fn transient_solver_error_degrades_but_still_satisfies() {
     assert_eq!(report.degraded_solves(), 1, "{report:?}");
     assert_eq!(report.outcomes[0].rank_after, 1, "{report:?}");
     // The fallback chain recovered, so the round is revertible as usual.
-    assert!(fw.revert_last_optimization());
+    assert!(fw.revert_last_optimization().unwrap());
     assert_eq!(fw.rank(q, &[a1, a2], 2)[0].node, a1);
 }
 
@@ -58,7 +58,7 @@ fn persistent_solver_failure_quarantines_and_keeps_the_graph() {
         "graph must be untouched"
     );
     // Nothing was applied, but the revert snapshot is still consistent.
-    assert!(fw.revert_last_optimization());
+    assert!(fw.revert_last_optimization().unwrap());
     assert_eq!(snap.squared_distance(fw.graph()), 0.0);
 }
 

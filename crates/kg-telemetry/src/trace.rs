@@ -198,7 +198,9 @@ pub fn chrome_trace_json() -> String {
 /// Span names that demarcate one optimization round. A round-named span
 /// nested (in time) inside another candidate is a phase of the outer
 /// round, not a round of its own — e.g. the per-cluster
-/// `votekg.votes.multi` solves inside `votekg.cluster.round`.
+/// `votekg.votes.multi` solves inside `votekg.cluster.round`. On the
+/// outer round's thread such a span's self time counts as unattributed,
+/// so wrapping a round in another one does not raise its coverage.
 pub const ROUND_NAMES: &[&str] = &[
     "votekg.framework.round",
     "votekg.cluster.round",
@@ -238,9 +240,13 @@ pub struct RoundTimeline {
     pub dur_ns: u64,
     /// Phases sorted by attributed self time, descending.
     pub phases: Vec<PhaseStat>,
-    /// Round time not covered by any same-thread child span.
+    /// Round time on the round's thread that no phase span covers: the
+    /// round span's own self time plus the self time of every
+    /// round-named span nested on the same thread (such a span only
+    /// wraps phases, e.g. `votekg.cluster.round` inside
+    /// `votekg.framework.round`).
     pub unattributed_ns: u64,
-    /// Fraction of the round's duration covered by child spans on its
+    /// Fraction of the round's duration covered by phase spans on its
     /// own thread (`1.0` = every nanosecond attributed).
     pub coverage: f64,
 }
@@ -264,7 +270,9 @@ impl TimelineReport {
     /// Builds the report: computes each span's self time via a
     /// same-thread interval-nesting sweep, picks the outermost
     /// round-named spans as rounds, and attributes every span inside a
-    /// round's time window to that round's phase table.
+    /// round's time window to that round's phase table (a nested
+    /// round-named span on the round's thread adds its self time to
+    /// the round's unattributed time instead).
     pub fn build(spans: &[TraceSpan]) -> TimelineReport {
         let mut order: Vec<usize> = (0..spans.len()).collect();
         // Parents sort before children: by thread, then start time, then
@@ -324,6 +332,7 @@ impl TimelineReport {
         let mut rounds = Vec::with_capacity(round_ids.len());
         for &r in &round_ids {
             let round = &spans[r];
+            let mut unattributed_ns = round.dur_ns.saturating_sub(children_ns[r]);
             // Group member spans (any thread, inside the round's window,
             // assigned to the *smallest* containing round) by name.
             let mut phases: HashMap<&str, (u64, u64, u64, Vec<u64>)> = HashMap::new();
@@ -338,12 +347,19 @@ impl TimelineReport {
                 if smallest != Some(&r) {
                     continue;
                 }
+                let mut self_ns = span.dur_ns.saturating_sub(children_ns[i]);
+                // A nested round span's self time is time no phase names,
+                // so it stays unattributed rather than covering itself.
+                if span.thread == round.thread && ROUND_NAMES.contains(&span.name.as_str()) {
+                    unattributed_ns = unattributed_ns.saturating_add(self_ns);
+                    self_ns = 0;
+                }
                 let entry = phases
                     .entry(span.name.as_str())
                     .or_insert((0, 0, 0, Vec::new()));
                 entry.0 += 1;
                 entry.1 += span.dur_ns;
-                entry.2 += span.dur_ns.saturating_sub(children_ns[i]);
+                entry.2 += self_ns;
                 entry.3.push(span.dur_ns);
             }
             let mut phases: Vec<PhaseStat> = phases
@@ -362,7 +378,6 @@ impl TimelineReport {
                 .collect();
             phases.sort_by_key(|p| std::cmp::Reverse(p.self_ns));
 
-            let unattributed_ns = round.dur_ns.saturating_sub(children_ns[r]);
             let coverage = if round.dur_ns == 0 {
                 1.0
             } else {
@@ -550,6 +565,34 @@ mod tests {
             .expect("multi phase");
         assert_eq!(multi.count, 2);
         assert_eq!(multi.total_ns, 65);
+    }
+
+    #[test]
+    fn nested_round_self_time_is_unattributed() {
+        // framework.round [0, 100) wraps votes.multi [2, 98), whose only
+        // phases are encode [10, 30) and solve [30, 60): the 46 ns of
+        // multi's own time and the round's 4 ns are both unexplained.
+        let spans = vec![
+            span(0, "votekg.framework.round", 0, 100),
+            span(0, "votekg.votes.multi", 2, 96),
+            span(0, "votekg.votes.encode", 10, 20),
+            span(0, "votekg.votes.solve.lbfgs", 30, 30),
+        ];
+        let report = TimelineReport::build(&spans);
+        assert_eq!(report.rounds.len(), 1);
+        let round = &report.rounds[0];
+        assert_eq!(round.name, "votekg.framework.round");
+        assert_eq!(round.unattributed_ns, 50);
+        assert!((round.coverage - 0.5).abs() < 1e-9, "{}", round.coverage);
+        let multi = round
+            .phases
+            .iter()
+            .find(|p| p.name == "votekg.votes.multi")
+            .expect("multi phase");
+        assert_eq!((multi.count, multi.total_ns, multi.self_ns), (1, 96, 0));
+        let total: u64 =
+            round.phases.iter().map(|p| p.self_ns).sum::<u64>() + round.unattributed_ns;
+        assert_eq!(total, 100);
     }
 
     #[test]

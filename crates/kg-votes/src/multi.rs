@@ -111,74 +111,39 @@ pub fn solve_multi_votes(
 
     if !kept.is_empty() {
         let kept_owned: Vec<Vote> = kept.iter().map(|v| (*v).clone()).collect();
-        if opts.params.deviation_vars {
+        let solve_started = Instant::now();
+        // One deadline shared by every continuation stage: each stage
+        // gets whatever is left of the round's budget, so the whole
+        // sequence — not each solve — honors `time_budget`.
+        let deadline = opts.solve.time_budget.map(|b| solve_started + b);
+        // Encoded once per round: the stages differ only in the sigmoid
+        // steepness and the start point.
+        let mut prog = {
+            let _phase = kg_telemetry::span!("votekg.votes.encode");
+            encode_multi(graph, &kept_owned, &opts.encode, &opts.params)
+        };
+        if prog.problem.n_vars() > 0 {
+            span.field("constraints", prog.problem.n_constraints());
+            let w_final = opts.params.steepness;
             // The explicit deviation form carries real constraints whose
             // pressure must reach the weight variables even when slack; the
             // augmented Lagrangian's multipliers provide that, whereas the
-            // exterior penalty goes silent on feasible iterates.
-            let prog = {
-                let _phase = kg_telemetry::span!("votekg.votes.encode");
-                encode_multi(graph, &kept_owned, &opts.encode, &opts.params)
-            };
-            if prog.problem.n_vars() > 0 {
-                span.field("constraints", prog.problem.n_constraints());
-                let solve_started = Instant::now();
-                let solved =
-                    run_solver_resilient(&prog.problem, &opts.solve, true, opts.inner, &opts.retry);
-                report.solver_elapsed = solve_started.elapsed();
-                match solved.result {
-                    Some(result) => {
-                        report.solver_inner_iterations = result.inner_iterations;
-                        record_deviation_magnitudes(&prog, &result.x);
-                        let _apply_phase = kg_telemetry::span!("votekg.votes.apply");
-                        match apply_guarded(&prog, &result.x, graph, opts.normalize) {
-                            Ok(changed) => {
-                                report.edges_changed = changed.len();
-                                report.solves.push(solved.outcome);
-                            }
-                            Err(reason) => {
-                                report.solves.push(SolveOutcome::Failed {
-                                    error: reason.clone(),
-                                });
-                                quarantine_all(&mut report, &kept_idx, &mut kept_mask, &reason);
-                            }
-                        }
-                    }
-                    None => {
-                        let reason = format!("solver failed: {:?}", solved.outcome);
-                        report.solves.push(solved.outcome);
-                        quarantine_all(&mut report, &kept_idx, &mut kept_mask, &reason);
-                    }
-                }
-            }
-        } else {
-            // Eliminated form with steepness continuation: a sigmoid at the
-            // paper's w = 300 saturates on margins of a few percent and its
-            // gradient vanishes, stranding badly-violated votes. Solving a
-            // sequence of sharpening sigmoids (each warm-starting the next)
-            // keeps a usable gradient at every stage — the final stage is
-            // exactly the paper's objective (Eq. 19).
-            let solve_started = Instant::now();
-            // One deadline shared by every continuation stage: each stage
-            // gets whatever is left of the round's budget, so the whole
-            // sequence — not each solve — honors `time_budget`.
-            let deadline = opts.solve.time_budget.map(|b| solve_started + b);
-            // Encoded once per round: the stages differ only in the
-            // sigmoid steepness and the start point.
-            let mut prog = {
-                let _phase = kg_telemetry::span!("votekg.votes.encode");
-                encode_multi(graph, &kept_owned, &opts.encode, &opts.params)
-            };
-            if prog.problem.n_vars() > 0 {
-                span.field("constraints", prog.problem.n_constraints());
-                let w_final = opts.params.steepness;
-                // Shallow warm-up stages only pay off when something is
-                // violated; on an already-satisfied batch they would add
-                // gratuitous drift (their wide sigmoids push satisfied
-                // margins further negative than the w_final objective
-                // wants).
-                let x0 = prog.problem.vars.initial_point();
-                let mut stages: Vec<f64> = if prog.violated_margins(&x0) > 0 {
+            // exterior penalty goes silent on feasible iterates. It is
+            // solved once, at `w_final`.
+            let deviation = opts.params.deviation_vars;
+            let use_auglag = opts.use_auglag || deviation;
+            // Eliminated form with steepness continuation: a sigmoid at
+            // the paper's w = 300 saturates on margins of a few percent
+            // and its gradient vanishes, stranding badly-violated votes.
+            // Solving a sequence of sharpening sigmoids (each warm-starting
+            // the next) keeps a usable gradient at every stage — the final
+            // stage is exactly the paper's objective (Eq. 19). The shallow
+            // warm-up stages only pay off when something is violated; on an
+            // already-satisfied batch they would add gratuitous drift (their
+            // wide sigmoids push satisfied margins further negative than the
+            // w_final objective wants).
+            let mut stages: Vec<f64> =
+                if !deviation && prog.violated_margins(&prog.problem.vars.initial_point()) > 0 {
                     [w_final / 30.0, w_final / 10.0, w_final / 3.0]
                         .into_iter()
                         .filter(|&w| w >= 1.0 && w < w_final)
@@ -186,103 +151,105 @@ pub fn solve_multi_votes(
                 } else {
                     Vec::new()
                 };
-                stages.push(w_final);
-                let mut best_x: Option<Vec<f64>> = None;
-                let mut inner_total = 0usize;
-                let mut total_retries = 0usize;
-                let mut fallback = String::new();
-                let mut timed_out = false;
-                let mut stage_failure: Option<String> = None;
-                for (si, &stage_w) in stages.iter().enumerate() {
-                    // Retune the encoded program's sigmoid to this stage;
-                    // warm-start from the previous stage's solution. The
-                    // proximal anchors must stay at the *original*
-                    // weights, so only the variable initials move.
-                    prog.problem.objective.set_sigmoid_steepness(stage_w);
-                    if let Some(x) = &best_x {
-                        for (i, xi) in x.iter().enumerate() {
-                            prog.problem.vars.set_initial(sgp::VarId(i as u32), *xi);
+            stages.push(w_final);
+            let mut best_x: Option<Vec<f64>> = None;
+            let mut inner_total = 0usize;
+            let mut total_retries = 0usize;
+            let mut fallback = String::new();
+            let mut timed_out = false;
+            let mut stage_failure: Option<String> = None;
+            for (si, &stage_w) in stages.iter().enumerate() {
+                // Retune the encoded program's sigmoid to this stage;
+                // warm-start from the previous stage's solution. The
+                // proximal anchors must stay at the *original* weights,
+                // so only the variable initials move.
+                prog.problem.objective.set_sigmoid_steepness(stage_w);
+                if let Some(x) = &best_x {
+                    for (i, xi) in x.iter().enumerate() {
+                        prog.problem.vars.set_initial(sgp::VarId(i as u32), *xi);
+                    }
+                }
+                let mut stage_opts = opts.solve.clone();
+                if let Some(d) = deadline {
+                    stage_opts.time_budget = Some(d.saturating_duration_since(Instant::now()));
+                }
+                let solved = run_solver_resilient(
+                    &prog.problem,
+                    &stage_opts,
+                    use_auglag,
+                    opts.inner,
+                    &opts.retry,
+                );
+                match solved.outcome {
+                    SolveOutcome::Applied => {}
+                    SolveOutcome::Degraded {
+                        fallback: f,
+                        retries,
+                    } => {
+                        total_retries += retries;
+                        fallback = f;
+                    }
+                    SolveOutcome::TimedOut => timed_out = true,
+                    SolveOutcome::Failed { error } => {
+                        // A later stage failing leaves the previous
+                        // stage's solution in force; only a failure with
+                        // nothing solved yet aborts the batch.
+                        if best_x.is_none() {
+                            stage_failure = Some(error);
+                        } else {
+                            total_retries += solved.retries;
+                            fallback = format!("stopped at continuation stage {si}: {error}");
                         }
-                    }
-                    let mut stage_opts = opts.solve.clone();
-                    if let Some(d) = deadline {
-                        stage_opts.time_budget = Some(d.saturating_duration_since(Instant::now()));
-                    }
-                    let solved = run_solver_resilient(
-                        &prog.problem,
-                        &stage_opts,
-                        opts.use_auglag,
-                        opts.inner,
-                        &opts.retry,
-                    );
-                    match solved.outcome {
-                        SolveOutcome::Applied => {}
-                        SolveOutcome::Degraded {
-                            fallback: f,
-                            retries,
-                        } => {
-                            total_retries += retries;
-                            fallback = f;
-                        }
-                        SolveOutcome::TimedOut => timed_out = true,
-                        SolveOutcome::Failed { error } => {
-                            // A later stage failing leaves the previous
-                            // stage's solution in force; only a failure
-                            // with nothing solved yet aborts the batch.
-                            if best_x.is_none() {
-                                stage_failure = Some(error);
-                            } else {
-                                total_retries += solved.retries;
-                                fallback = format!("stopped at continuation stage {si}: {error}");
-                            }
-                            break;
-                        }
-                    }
-                    if let Some(result) = solved.result {
-                        inner_total += result.inner_iterations;
-                        best_x = Some(result.x);
-                    }
-                    if timed_out {
-                        // Best iterate so far is still applied below.
                         break;
                     }
                 }
-                report.solver_inner_iterations = inner_total;
-                let _apply_phase = kg_telemetry::span!("votekg.votes.apply");
-                match best_x {
-                    Some(x) => match apply_guarded(&prog, &x, graph, opts.normalize) {
-                        Ok(changed) => {
-                            report.edges_changed = changed.len();
-                            let outcome = if timed_out {
-                                SolveOutcome::TimedOut
-                            } else if total_retries > 0 || !fallback.is_empty() {
-                                SolveOutcome::Degraded {
-                                    fallback,
-                                    retries: total_retries,
-                                }
-                            } else {
-                                SolveOutcome::Applied
-                            };
-                            report.solves.push(outcome);
-                        }
-                        Err(reason) => {
-                            report.solves.push(SolveOutcome::Failed {
-                                error: reason.clone(),
-                            });
-                            quarantine_all(&mut report, &kept_idx, &mut kept_mask, &reason);
-                        }
-                    },
-                    None => {
-                        let error = stage_failure
-                            .unwrap_or_else(|| "solver produced no solution".to_string());
-                        let reason = format!("solver failed: {error}");
-                        report.solves.push(SolveOutcome::Failed { error });
-                        quarantine_all(&mut report, &kept_idx, &mut kept_mask, &reason);
-                    }
+                if let Some(result) = solved.result {
+                    inner_total += result.inner_iterations;
+                    best_x = Some(result.x);
+                }
+                if timed_out {
+                    // Best iterate so far is still applied below.
+                    break;
                 }
             }
-            report.solver_elapsed = solve_started.elapsed();
+            report.solver_inner_iterations = inner_total;
+            if let (true, Some(x)) = (deviation, &best_x) {
+                record_deviation_magnitudes(&prog, x);
+            }
+            let _apply_phase = kg_telemetry::span!("votekg.votes.apply");
+            match best_x {
+                Some(x) => match apply_guarded(&prog, &x, graph, opts.normalize) {
+                    Ok(changed) => {
+                        report.edges_changed = changed.len();
+                        let outcome = if timed_out {
+                            SolveOutcome::TimedOut
+                        } else if total_retries > 0 || !fallback.is_empty() {
+                            SolveOutcome::Degraded {
+                                fallback,
+                                retries: total_retries,
+                            }
+                        } else {
+                            SolveOutcome::Applied
+                        };
+                        report.solves.push(outcome);
+                    }
+                    Err(reason) => {
+                        report.solves.push(SolveOutcome::Failed {
+                            error: reason.clone(),
+                        });
+                        quarantine_all(&mut report, &kept_idx, &mut kept_mask, &reason);
+                    }
+                },
+                None => {
+                    let error =
+                        stage_failure.unwrap_or_else(|| "solver produced no solution".to_string());
+                    let reason = format!("solver failed: {error}");
+                    report.solves.push(SolveOutcome::Failed { error });
+                    quarantine_all(&mut report, &kept_idx, &mut kept_mask, &reason);
+                }
+            }
         }
+        report.solver_elapsed = solve_started.elapsed();
     }
 
     let rerank_phase = kg_telemetry::span!("votekg.votes.rerank");

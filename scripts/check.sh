@@ -51,6 +51,15 @@ cargo test -q
 step "crate suites: cargo test --workspace --release --exclude votekg-suite"
 cargo test -q --workspace --release --exclude votekg-suite
 
+# Examples: clippy --all-targets compiles them, but only running them
+# exercises record_vote, optimize and optimize_incremental end to end the
+# way a user copies them. Each exits nonzero on a panic; all six take a
+# few seconds in release.
+step "examples: run all six in release"
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" >/dev/null
+done
+
 # Benchmark harness: perfbench is a package of its own (see
 # BENCHMARK.json), so the workspace steps above never compile it, and a
 # change to an API it builds against would first fail in a benchmark

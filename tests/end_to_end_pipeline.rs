@@ -97,7 +97,7 @@ fn framework_facade_runs_the_same_pipeline() {
     }
 
     // Revert restores the deployed weights exactly.
-    assert!(fw.revert_last_optimization());
+    assert!(fw.revert_last_optimization().unwrap());
     for e in study.deployed.edges() {
         assert_eq!(fw.graph().weight(e.edge), e.weight);
     }
